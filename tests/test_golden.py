@@ -1,0 +1,432 @@
+"""Golden lock on the command line: exact stdout, exit codes and error text.
+
+Each case runs ``effdiag`` in-process and compares the whole of stdout and
+the exit code with a literal; cases that exit with 2, 3 or 4 also compare
+stderr.  ``{dir}`` in an argument stands for a temporary directory holding
+the presentation files in ``FILES``.
+"""
+
+import pytest
+
+from effectdiagrams.cli import main
+
+FILES = {
+    'outer.json':
+        ('{"effect":{"arity":2,"body":{"kind":"dist","entries":[[1,"1/'
+         '2"],[2,"1/2"]]}},"row":["v","w"]}\n'),
+    'left.json':
+        ('{"effect":{"arity":2,"body":{"kind":"dist","entries":[[1,"3/'
+         '4"],[2,"1/4"]]}},"row":["a","b"]}\n'),
+    'right.json':
+        ('{"effect":{"arity":1,"body":{"kind":"dist","entries":[[1,"1"'
+         ']]}},"row":["c"]}\n'),
+}
+
+CASES = [
+    (['eval', '-m', 'maybe', '-f', '5', '(\\x. x) v'],
+     0, 'v\n',
+     None),
+    (['eval', '-m', 'maybe', '-f', '20', '--format', 'machine', 'OMEGA'],
+     0, '{"kind":"maybe","bottom":true}\n',
+     None),
+    (['eval', '-m', 'exc', '--exceptions', 'err,crash',
+      '(\\x. raise[crash]()) v'],
+     0, 'raise crash\n',
+     None),
+    (['eval', '-m', 'exc', '--exceptions', 'err,crash', '--format',
+      'machine', 'id v'],
+     0, '{"kind":"exc","exceptions":["err","crash"],"value":"v"}\n',
+     None),
+    (['eval', '-m', 'set', 'union(v, union(w, v)) ; union(a, b)'],
+     0, '{a, b}\n',
+     None),
+    (['eval', '-m', 'set', '--format', 'machine', 'union(v, union(w, v))'],
+     0, '{"kind":"set","elements":["v","w"]}\n',
+     None),
+    (['eval', '-m', 'dist', '-f', '10', 'choice(v, choice(v, w))'],
+     0, '{v: 3/4, w: 1/4}\n',
+     None),
+    (['eval', '-m', 'dist', '--format', 'machine',
+      'choice(a, b) ; choice(v, choice(v, w))'],
+     0, '{"kind":"dist","entries":[["v","3/4"],["w","1/4"]]}\n',
+     None),
+    (['eval', '-m', 'state', 'read[l0](write[l1,1](v), w)'],
+     0, '{00 ↦ (v, 01), 01 ↦ (v, 01), 10 ↦ (w, 10), 11 ↦ (w, 11)}\n',
+     None),
+    (['eval', '-m', 'state', '--locations', 'l0,l1,l2', '--format',
+      'machine', 'write[l2,1](read[l2](v, read[l0](w, v)))'],
+     0, ('{"kind":"state","locations":["l0","l1","l2"],"table":[["000"'
+      ',["w","001"]],["001",["w","001"]],["010",["w","011"]],["011"'
+      ',["w","011"]],["100",["v","101"]],["101",["v","101"]],["110"'
+      ',["v","111"]],["111",["v","111"]]]}\n'),
+     None),
+    (['eval', '-m', 'output', '-f', '3', 'Z (\\f. \\x. print[a](f x)) v'],
+     0, '("a", ↑)\n',
+     None),
+    (['eval', '-m', 'output', '--alphabet', 'abc', '--format', 'machine',
+      'print[c](print[b](v))'],
+     0, ('{"kind":"output","alphabet":["a","b","c"],"out":"cb","value"'
+      ':"v"}\n'),
+     None),
+    (['diagram', '-m', 'maybe', '-f', '20', 'OMEGA'],
+     0, '[⊥ ‖ ]\n',
+     None),
+    (['diagram', '-m', 'maybe', '--format', 'machine', '(\\x. x) v'],
+     0, ('{"effect":{"arity":1,"body":{"kind":"maybe","value":1}},"row'
+      '":["v"]}\n'),
+     None),
+    (['diagram', '-m', 'exc', '--exceptions', 'err,crash', 'raise[err]()'],
+     0, '[raise err ‖ ]\n',
+     None),
+    (['diagram', '-m', 'exc', '--exceptions', 'err,crash', '--format',
+      'machine', '(\\x. x) w'],
+     0, ('{"effect":{"arity":1,"body":{"kind":"exc","exceptions":["err'
+      '","crash"],"value":1}},"row":["w"]}\n'),
+     None),
+    (['diagram', '-m', 'set', 'union(w, union(v, w))'],
+     0, '[{1,2} ‖ 1→v ; 2→w]\n',
+     None),
+    (['diagram', '-m', 'set', '--format', 'machine',
+      'union(v, w) ; union(a, b)'],
+     0, ('{"effect":{"arity":2,"body":{"kind":"set","elements":[1,2]}}'
+      ',"row":["a","b"]}\n'),
+     None),
+    (['diagram', '-m', 'dist', 'choice(a, b) ; choice(v, choice(v, w))'],
+     0, '[3/4,1/4 ‖ 1→v ; 2→w]\n',
+     None),
+    (['diagram', '-m', 'dist', '--format', 'machine',
+      'choice(v, choice(v, w))'],
+     0, ('{"effect":{"arity":2,"body":{"kind":"dist","entries":[[1,"3/'
+      '4"],[2,"1/4"]]}},"row":["v","w"]}\n'),
+     None),
+    (['diagram', '-m', 'state', 'read[l0](write[l1,1](v), w)'],
+     0, '[00↦(1,01) , 01↦(1,01) , 10↦(2,10) , 11↦(2,11) ‖ 1→v ; 2→w]\n',
+     None),
+    (['diagram', '-m', 'state', '--format', 'machine',
+      'write[l0,1](read[l0](v, w))'],
+     0, ('{"effect":{"arity":1,"body":{"kind":"state","locations":["l0'
+      '","l1"],"table":[["00",[1,"10"]],["01",[1,"11"]],["10",[1,"1'
+      '0"]],["11",[1,"11"]]]}},"row":["w"]}\n'),
+     None),
+    (['diagram', '-m', 'output', '-f', '3', 'Z (\\f. \\x. print[b](f x)) v'],
+     0, '[(b,↑) ‖ ]\n',
+     None),
+    (['diagram', '-m', 'output', '--format', 'machine',
+      'print[a](print[b](v))'],
+     0, ('{"effect":{"arity":1,"body":{"kind":"output","alphabet":["a"'
+      ',"b"],"out":"ab","value":1}},"row":["v"]}\n'),
+     None),
+    (['eval', '-m', 'maybe', '-f', '0', 'id v'],
+     0, '↑\n',
+     None),
+    (['eval', '-m', 'exc', '-f', '4', 'OMEGA'],
+     0, '↑\n',
+     None),
+    (['eval', '-m', 'set', '-f', '2', 'OMEGA'],
+     0, '∅\n',
+     None),
+    (['eval', '-m', 'dist', '-f', '3', 'Z (\\f. \\x. choice(x, f x)) v'],
+     0, '{v: 1/2}\n',
+     None),
+    (['eval', '-m', 'state', '-f', '2', 'read[l0](v, OMEGA)'],
+     0, '{00 ↦ (v, 00), 01 ↦ (v, 01), 10 ↦ ↑, 11 ↦ ↑}\n',
+     None),
+    (['diagram', '-m', 'dist', 'v'],
+     0, '[η ‖ 1→v]\n',
+     None),
+    (['diagram', '-m', 'state', '--format', 'machine', '-f', '2',
+      'read[l1](OMEGA, w)'],
+     0, ('{"effect":{"arity":1,"body":{"kind":"state","locations":["l0'
+      '","l1"],"table":[["00",null],["01",[1,"01"]],["10",null],["1'
+      '1",[1,"11"]]]}},"row":["w"]}\n'),
+     None),
+    (['compose', '{dir}/outer.json', '{dir}/left.json', '{dir}/right.json'],
+     0, '[3/8,1/8,1/2 ‖ 1→a ; 2→b ; 3→c]\n',
+     None),
+    (['compose', '--format', 'machine', '{dir}/outer.json',
+      '{dir}/left.json', '{dir}/right.json'],
+     0, ('{"effect":{"arity":3,"body":{"kind":"dist","entries":[[1,"3/'
+      '8"],[2,"1/8"],[3,"1/2"]]}},"row":["a","b","c"]}\n'),
+     None),
+    (['eval', '-m', 'maybe', '(\\x. x'],
+     2, '',
+     "parse error: expected ')', found '' (at offset 6)\n"),
+    (['diagram', '-m', 'dist', 'choice(v, w) ;'],
+     2, '',
+     "parse error: expected a term, found 'end' (at offset 14)\n"),
+    (['eval', '-m', 'maybe', 'choice(v, w)'],
+     3, '',
+     ("signature error: operation 'choice' is not in the maybe sign"
+      'ature\n')),
+    (['eval', '-m', 'output', '--alphabet', 'ab', 'print[z](v)'],
+     3, '',
+     "signature error: character 'z' not in the alphabet\n"),
+    (['eval', '-m', 'exc', '--exceptions', 'err', 'raise[boom]()'],
+     3, '',
+     "signature error: unknown exception label 'boom'\n"),
+    (['diagram', '-m', 'state', 'read[l9](v, w)'],
+     3, '',
+     "signature error: unknown location 'l9'\n"),
+    (['eval', '-m', 'state', 'write[l9,1](v)'],
+     3, '',
+     "signature error: unknown location 'l9'\n"),
+    (['laws', '--monads', 'maybe,foo'],
+     3, '',
+     "signature error: unknown monad tag 'foo'\n"),
+    (['compose', '{dir}/outer.json', '{dir}/left.json'],
+     4, '',
+     'error: family has 1 members, expected 2\n'),
+    (['laws', '--seed', '1'],
+     0, ('law            monad   result  expected\n'
+      'kleisli        maybe   pass    pass\n'
+      'kleisli        exc     pass    pass\n'
+      'kleisli        set     pass    pass\n'
+      'kleisli        dist    pass    pass\n'
+      'kleisli        state   pass    pass\n'
+      'kleisli        output  pass    pass\n'
+      'algebraicity   maybe   pass    pass\n'
+      'algebraicity   exc     pass    pass\n'
+      'algebraicity   set     pass    pass\n'
+      'algebraicity   dist    pass    pass\n'
+      'algebraicity   state   pass    pass\n'
+      'algebraicity   output  pass    pass\n'
+      'unit           maybe   pass    pass\n'
+      'unit           exc     pass    pass\n'
+      'unit           set     pass    pass\n'
+      'unit           dist    pass    pass\n'
+      'unit           state   pass    pass\n'
+      'unit           output  pass    pass\n'
+      'associativity  maybe   pass    pass\n'
+      'associativity  exc     pass    pass\n'
+      'associativity  set     pass    pass\n'
+      'associativity  dist    pass    pass\n'
+      'associativity  state   pass    pass\n'
+      'associativity  output  pass    pass\n'
+      'composition    maybe   pass    pass\n'
+      'composition    exc     pass    pass\n'
+      'composition    set     pass    pass\n'
+      'composition    dist    pass    pass\n'
+      'composition    state   pass    pass\n'
+      'composition    output  pass    pass\n'
+      'binding        maybe   pass    pass\n'
+      'binding        exc     pass    pass\n'
+      'binding        set     pass    pass\n'
+      'binding        dist    pass    pass\n'
+      'binding        state   pass    pass\n'
+      'binding        output  pass    pass\n'
+      'congruence     maybe   pass    pass\n'
+      'congruence     exc     pass    pass\n'
+      'congruence     set     pass    pass\n'
+      'congruence     dist    pass    pass\n'
+      'congruence     state   pass    pass\n'
+      'congruence     output  pass    pass\n'
+      'monotonicity   maybe   pass    pass\n'
+      'monotonicity   exc     pass    pass\n'
+      'monotonicity   set     pass    pass\n'
+      'monotonicity   dist    pass    pass\n'
+      'monotonicity   state   pass    pass\n'
+      'monotonicity   output  pass    pass\n'
+      'bottom         maybe   pass    pass\n'
+      'bottom         exc     pass    pass\n'
+      'bottom         set     pass    pass\n'
+      'bottom         dist    pass    pass\n'
+      'bottom         state   pass    pass\n'
+      'bottom         output  pass    pass\n'
+      'absorption     maybe   pass    pass\n'
+      'absorption     exc     fail    fail\n'
+      '    counterexample: {"effect": {"arity": 0, "body": {"kind":'
+      ' "exc", "exceptions": ["err"], "raised": "err"}}, "got": {"k'
+      'ind": "exc", "exceptions": ["err"], "raised": "err"}}\n'
+      'absorption     set     pass    pass\n'
+      'absorption     dist    pass    pass\n'
+      'absorption     state   pass    pass\n'
+      'absorption     output  fail    fail\n'
+      '    counterexample: {"effect": {"arity": 1, "body": {"kind":'
+      ' "output", "alphabet": ["a", "b"], "out": "a", "value": 1}},'
+      ' "got": {"kind": "output", "alphabet": ["a", "b"], "out":...'
+      '\n'
+      'commutativity  maybe   pass    pass\n'
+      'commutativity  exc     fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 0, "body": {"k'
+      'ind": "exc", "exceptions": ["err"], "raised": "err"}}, "righ'
+      't_effect": {"arity": 0, "body": {"kind": "exc", "exceptio...'
+      '\n'
+      'commutativity  set     pass    pass\n'
+      'commutativity  dist    pass    pass\n'
+      'commutativity  state   fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 2, "body": {"k'
+      'ind": "state", "locations": ["l0", "l1"], "table": [["00", ['
+      '1, "00"]], ["01", [1, "01"]], ["10", [2, "10"]], ["11", [...'
+      '\n'
+      'commutativity  output  fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 1, "body": {"k'
+      'ind": "output", "alphabet": ["a", "b"], "out": "a", "value":'
+      ' 1}}, "right_effect": {"arity": 1, "body": {"kind": "outp...'
+      '\n'
+      'expectations met (seed=1)\n'),
+     None),
+    (['laws', '--seed', '1', '--format', 'machine'],
+     0, ('{"seed": 1, "ok": true, "results": [{"law": "kleisli", "mona'
+      'd": "maybe", "pass": true, "trials": 50, "seed": 1, "expecte'
+      'd_pass": true}, {"law": "kleisli", "monad": "exc", "pass": t'
+      'rue, "trials": 50, "seed": 1, "expected_pass": true}, {"law"'
+      ': "kleisli", "monad": "set", "pass": true, "trials": 50, "se'
+      'ed": 1, "expected_pass": true}, {"law": "kleisli", "monad": '
+      '"dist", "pass": true, "trials": 50, "seed": 1, "expected_pas'
+      's": true}, {"law": "kleisli", "monad": "state", "pass": true'
+      ', "trials": 50, "seed": 1, "expected_pass": true}, {"law": "'
+      'kleisli", "monad": "output", "pass": true, "trials": 50, "se'
+      'ed": 1, "expected_pass": true}, {"law": "algebraicity", "mon'
+      'ad": "maybe", "pass": true, "trials": 50, "seed": 1, "expect'
+      'ed_pass": true}, {"law": "algebraicity", "monad": "exc", "pa'
+      'ss": true, "trials": 50, "seed": 1, "expected_pass": true}, '
+      '{"law": "algebraicity", "monad": "set", "pass": true, "trial'
+      's": 50, "seed": 1, "expected_pass": true}, {"law": "algebrai'
+      'city", "monad": "dist", "pass": true, "trials": 50, "seed": '
+      '1, "expected_pass": true}, {"law": "algebraicity", "monad": '
+      '"state", "pass": true, "trials": 50, "seed": 1, "expected_pa'
+      'ss": true}, {"law": "algebraicity", "monad": "output", "pass'
+      '": true, "trials": 50, "seed": 1, "expected_pass": true}, {"'
+      'law": "unit", "monad": "maybe", "pass": true, "trials": 50, '
+      '"seed": 1, "expected_pass": true}, {"law": "unit", "monad": '
+      '"exc", "pass": true, "trials": 50, "seed": 1, "expected_pass'
+      '": true}, {"law": "unit", "monad": "set", "pass": true, "tri'
+      'als": 50, "seed": 1, "expected_pass": true}, {"law": "unit",'
+      ' "monad": "dist", "pass": true, "trials": 50, "seed": 1, "ex'
+      'pected_pass": true}, {"law": "unit", "monad": "state", "pass'
+      '": true, "trials": 50, "seed": 1, "expected_pass": true}, {"'
+      'law": "unit", "monad": "output", "pass": true, "trials": 50,'
+      ' "seed": 1, "expected_pass": true}, {"law": "associativity",'
+      ' "monad": "maybe", "pass": true, "trials": 50, "seed": 1, "e'
+      'xpected_pass": true}, {"law": "associativity", "monad": "exc'
+      '", "pass": true, "trials": 50, "seed": 1, "expected_pass": t'
+      'rue}, {"law": "associativity", "monad": "set", "pass": true,'
+      ' "trials": 50, "seed": 1, "expected_pass": true}, {"law": "a'
+      'ssociativity", "monad": "dist", "pass": true, "trials": 50, '
+      '"seed": 1, "expected_pass": true}, {"law": "associativity", '
+      '"monad": "state", "pass": true, "trials": 50, "seed": 1, "ex'
+      'pected_pass": true}, {"law": "associativity", "monad": "outp'
+      'ut", "pass": true, "trials": 50, "seed": 1, "expected_pass":'
+      ' true}, {"law": "composition", "monad": "maybe", "pass": tru'
+      'e, "trials": 50, "seed": 1, "expected_pass": true}, {"law": '
+      '"composition", "monad": "exc", "pass": true, "trials": 50, "'
+      'seed": 1, "expected_pass": true}, {"law": "composition", "mo'
+      'nad": "set", "pass": true, "trials": 50, "seed": 1, "expecte'
+      'd_pass": true}, {"law": "composition", "monad": "dist", "pas'
+      's": true, "trials": 50, "seed": 1, "expected_pass": true}, {'
+      '"law": "composition", "monad": "state", "pass": true, "trial'
+      's": 50, "seed": 1, "expected_pass": true}, {"law": "composit'
+      'ion", "monad": "output", "pass": true, "trials": 50, "seed":'
+      ' 1, "expected_pass": true}, {"law": "binding", "monad": "may'
+      'be", "pass": true, "trials": 50, "seed": 1, "expected_pass":'
+      ' true}, {"law": "binding", "monad": "exc", "pass": true, "tr'
+      'ials": 50, "seed": 1, "expected_pass": true}, {"law": "bindi'
+      'ng", "monad": "set", "pass": true, "trials": 50, "seed": 1, '
+      '"expected_pass": true}, {"law": "binding", "monad": "dist", '
+      '"pass": true, "trials": 50, "seed": 1, "expected_pass": true'
+      '}, {"law": "binding", "monad": "state", "pass": true, "trial'
+      's": 50, "seed": 1, "expected_pass": true}, {"law": "binding"'
+      ', "monad": "output", "pass": true, "trials": 50, "seed": 1, '
+      '"expected_pass": true}, {"law": "congruence", "monad": "mayb'
+      'e", "pass": true, "trials": 50, "seed": 1, "expected_pass": '
+      'true}, {"law": "congruence", "monad": "exc", "pass": true, "'
+      'trials": 50, "seed": 1, "expected_pass": true}, {"law": "con'
+      'gruence", "monad": "set", "pass": true, "trials": 50, "seed"'
+      ': 1, "expected_pass": true}, {"law": "congruence", "monad": '
+      '"dist", "pass": true, "trials": 50, "seed": 1, "expected_pas'
+      's": true}, {"law": "congruence", "monad": "state", "pass": t'
+      'rue, "trials": 50, "seed": 1, "expected_pass": true}, {"law"'
+      ': "congruence", "monad": "output", "pass": true, "trials": 5'
+      '0, "seed": 1, "expected_pass": true}, {"law": "monotonicity"'
+      ', "monad": "maybe", "pass": true, "trials": 50, "seed": 1, "'
+      'expected_pass": true}, {"law": "monotonicity", "monad": "exc'
+      '", "pass": true, "trials": 50, "seed": 1, "expected_pass": t'
+      'rue}, {"law": "monotonicity", "monad": "set", "pass": true, '
+      '"trials": 50, "seed": 1, "expected_pass": true}, {"law": "mo'
+      'notonicity", "monad": "dist", "pass": true, "trials": 50, "s'
+      'eed": 1, "expected_pass": true}, {"law": "monotonicity", "mo'
+      'nad": "state", "pass": true, "trials": 50, "seed": 1, "expec'
+      'ted_pass": true}, {"law": "monotonicity", "monad": "output",'
+      ' "pass": true, "trials": 50, "seed": 1, "expected_pass": tru'
+      'e}, {"law": "bottom", "monad": "maybe", "pass": true, "trial'
+      's": 50, "seed": 1, "expected_pass": true}, {"law": "bottom",'
+      ' "monad": "exc", "pass": true, "trials": 50, "seed": 1, "exp'
+      'ected_pass": true}, {"law": "bottom", "monad": "set", "pass"'
+      ': true, "trials": 50, "seed": 1, "expected_pass": true}, {"l'
+      'aw": "bottom", "monad": "dist", "pass": true, "trials": 50, '
+      '"seed": 1, "expected_pass": true}, {"law": "bottom", "monad"'
+      ': "state", "pass": true, "trials": 50, "seed": 1, "expected_'
+      'pass": true}, {"law": "bottom", "monad": "output", "pass": t'
+      'rue, "trials": 50, "seed": 1, "expected_pass": true}, {"law"'
+      ': "absorption", "monad": "maybe", "pass": true, "trials": 52'
+      ', "seed": 1, "expected_pass": true}, {"law": "absorption", "'
+      'monad": "exc", "pass": false, "trials": 1, "seed": 1, "expec'
+      'ted_pass": false, "counterexample": {"effect": {"arity": 0, '
+      '"body": {"kind": "exc", "exceptions": ["err"], "raised": "er'
+      'r"}}, "got": {"kind": "exc", "exceptions": ["err"], "raised"'
+      ': "err"}}}, {"law": "absorption", "monad": "set", "pass": tr'
+      'ue, "trials": 53, "seed": 1, "expected_pass": true}, {"law":'
+      ' "absorption", "monad": "dist", "pass": true, "trials": 53, '
+      '"seed": 1, "expected_pass": true}, {"law": "absorption", "mo'
+      'nad": "state", "pass": true, "trials": 58, "seed": 1, "expec'
+      'ted_pass": true}, {"law": "absorption", "monad": "output", "'
+      'pass": false, "trials": 1, "seed": 1, "expected_pass": false'
+      ', "counterexample": {"effect": {"arity": 1, "body": {"kind":'
+      ' "output", "alphabet": ["a", "b"], "out": "a", "value": 1}},'
+      ' "got": {"kind": "output", "alphabet": ["a", "b"], "out": "a'
+      '", "bottom": true}}}, {"law": "commutativity", "monad": "may'
+      'be", "pass": true, "trials": 54, "seed": 1, "expected_pass":'
+      ' true}, {"law": "commutativity", "monad": "exc", "pass": fal'
+      'se, "trials": 3, "seed": 1, "expected_pass": false, "counter'
+      'example": {"left_effect": {"arity": 0, "body": {"kind": "exc'
+      '", "exceptions": ["err"], "raised": "err"}}, "right_effect":'
+      ' {"arity": 0, "body": {"kind": "exc", "exceptions": ["err"],'
+      ' "bottom": true}}, "grid": [], "lhs": {"kind": "exc", "excep'
+      'tions": ["err"], "raised": "err"}, "rhs": {"kind": "exc", "e'
+      'xceptions": ["err"], "bottom": true}}}, {"law": "commutativi'
+      'ty", "monad": "set", "pass": true, "trials": 59, "seed": 1, '
+      '"expected_pass": true}, {"law": "commutativity", "monad": "d'
+      'ist", "pass": true, "trials": 59, "seed": 1, "expected_pass"'
+      ': true}, {"law": "commutativity", "monad": "state", "pass": '
+      'false, "trials": 3, "seed": 1, "expected_pass": false, "coun'
+      'terexample": {"left_effect": {"arity": 2, "body": {"kind": "'
+      'state", "locations": ["l0", "l1"], "table": [["00", [1, "00"'
+      ']], ["01", [1, "01"]], ["10", [2, "10"]], ["11", [2, "11"]]]'
+      '}}, "right_effect": {"arity": 1, "body": {"kind": "state", "'
+      'locations": ["l0", "l1"], "table": [["00", [1, "00"]], ["01"'
+      ', [1, "01"]], ["10", [1, "00"]], ["11", [1, "01"]]]}}, "grid'
+      '": [["x11"], ["x21"]], "lhs": {"kind": "state", "locations":'
+      ' ["l0", "l1"], "table": [["00", ["x11", "00"]], ["01", ["x11'
+      '", "01"]], ["10", ["x21", "00"]], ["11", ["x21", "01"]]]}, "'
+      'rhs": {"kind": "state", "locations": ["l0", "l1"], "table": '
+      '[["00", ["x11", "00"]], ["01", ["x11", "01"]], ["10", ["x11"'
+      ', "00"]], ["11", ["x11", "01"]]]}}}, {"law": "commutativity"'
+      ', "monad": "output", "pass": false, "trials": 2, "seed": 1, '
+      '"expected_pass": false, "counterexample": {"left_effect": {"'
+      'arity": 1, "body": {"kind": "output", "alphabet": ["a", "b"]'
+      ', "out": "a", "value": 1}}, "right_effect": {"arity": 1, "bo'
+      'dy": {"kind": "output", "alphabet": ["a", "b"], "out": "b", '
+      '"value": 1}}, "grid": [["x11"]], "lhs": {"kind": "output", "'
+      'alphabet": ["a", "b"], "out": "ab", "value": "x11"}, "rhs": '
+      '{"kind": "output", "alphabet": ["a", "b"], "out": "ba", "val'
+      'ue": "x11"}}}]}\n'),
+     None),
+]
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr", CASES,
+    ids=[f"{i:02d}-{case[0][0]}" for i, case in enumerate(CASES)])
+def test_golden(argv, code, stdout, stderr, workdir, capsys):
+    assert main([a.replace("{dir}", str(workdir)) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    if stderr is not None:
+        assert err == stderr
