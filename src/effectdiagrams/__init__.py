@@ -9,10 +9,10 @@ suite for the whole calculus.
 
 from .monads import (ArityError, DIST, DIVERGE, Diverge, KindError, MAYBE,
                      MonadKind, MonadValue, OpDescriptor, POWERSET, Present,
-                     Raised, bind, bottom, canonical_key, canonical_text,
-                     exception_kind, is_bottom, leq, map_carrier, mass,
-                     op_apply, output_kind, signature, state_kind, stores,
-                     support, unit)
+                     Raised, bind, bottom, canonical_key, exception_kind,
+                     is_bottom, leq, map_carrier, mass, op_apply,
+                     output_kind, signature, state_kind, stores, support,
+                     unit)
 from .presentations import (ArityCapError, GenericEffect, MAX_ARITY,
                             Presentation, decompose, diagram_eq, diagram_leq,
                             extend, interpret, render)
@@ -38,7 +38,7 @@ __all__ = [
     "MonadValue", "Op", "OpDescriptor", "POWERSET", "ParseError",
     "Present", "Presentation", "Raised", "SignatureError", "SuiteReport",
     "Term", "Var", "basic_effects", "bind", "bottom", "bottom_effect",
-    "canonical_key", "canonical_text", "check_algebraic",
+    "canonical_key", "check_algebraic",
     "check_commutative", "decompose", "default_defs", "default_kinds",
     "descriptor_op", "diagram_eq", "diagram_leq", "effect_to_op",
     "eval_diagram", "eval_monadic_term", "evaluate", "exception_kind",

@@ -27,7 +27,7 @@ from .presentations import (ArityCapError, GenericEffect, MAX_ARITY,
                             Presentation)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerivedOperation:
     """An n-ary operation on monadic values, typically from an effect."""
 
@@ -113,7 +113,7 @@ def seq_compose(xi: Presentation,
     return Presentation(GenericEffect(total, body), row)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     """Outcome of a semantic law search."""
 
@@ -127,8 +127,7 @@ class CheckReport:
         obj = {"law": self.law, "pass": self.passed,
                "trials": self.trials, "seed": self.seed}
         if self.counterexample is not None:
-            obj["counterexample"] = {
-                k: _describe(v) for k, v in self.counterexample.items()}
+            obj["counterexample"] = _describe(self.counterexample)
         return obj
 
 

@@ -22,15 +22,12 @@ from .lang import (EvalError, ParseError, SignatureError, default_defs,
 from .lawcheck import (ALL_LAWS, LawSuiteConfig, default_kinds,
                        run_law_suite)
 from .algebra import seq_compose
-from .monads import (ArityError, DIST, KindError, MAYBE, MonadKind,
-                     POWERSET, exception_kind, output_kind, state_kind)
+from .monads import ArityError, KNOWN_TAGS, KindError, instance
 from .presentations import ArityCapError, render
-
-MONAD_TAGS = ("maybe", "exc", "set", "dist", "state", "output")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-m", "--monad", choices=MONAD_TAGS, default="maybe")
+    sub.add_argument("-m", "--monad", choices=KNOWN_TAGS, default="maybe")
     sub.add_argument("--exceptions", default="err",
                      help="comma-separated labels for the exc monad")
     sub.add_argument("--locations", default="l0,l1",
@@ -45,22 +42,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=1)
 
 
-def _kind_for(tag: str, args) -> MonadKind:
-    if tag == "maybe":
-        return MAYBE
-    if tag == "exc":
-        return exception_kind(tuple(args.exceptions.split(",")))
-    if tag == "set":
-        return POWERSET
-    if tag == "dist":
-        return DIST
-    if tag == "state":
-        return state_kind(tuple(args.locations.split(",")))
-    if tag == "output":
-        return output_kind(tuple(args.alphabet))
-    raise KindError(f"unknown monad tag {tag!r}")
-
-
 def _load_program(spec: str) -> str:
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as handle:
@@ -69,7 +50,7 @@ def _load_program(spec: str) -> str:
 
 
 def _parse_program(args) -> tuple:
-    kind = _kind_for(args.monad, args)
+    kind = instance(args.monad).kind_from_text(vars(args))
     defs = default_defs(kind=kind)
     if args.prelude:
         with open(args.prelude, encoding="utf-8") as handle:
@@ -112,7 +93,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_laws(args) -> int:
     if args.monads:
-        kinds = tuple(_kind_for(tag.strip(), args)
+        kinds = tuple(instance(tag.strip()).kind_from_text(vars(args))
                       for tag in args.monads.split(",") if tag.strip())
     else:
         kinds = default_kinds()
@@ -154,16 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "effect/value presentations.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = subs.add_parser("eval", help="evaluate a program")
-    _add_common(p_eval)
-    p_eval.add_argument("program", help="source text, or @file")
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_diag = subs.add_parser("diagram",
-                             help="evaluate and print the presentation")
-    _add_common(p_diag)
-    p_diag.add_argument("program", help="source text, or @file")
-    p_diag.set_defaults(func=_cmd_diagram)
+    for name, func, text in (
+            ("eval", _cmd_eval, "evaluate a program"),
+            ("diagram", _cmd_diagram, "evaluate and print the presentation")):
+        p_prog = subs.add_parser(name, help=text)
+        _add_common(p_prog)
+        p_prog.add_argument("program", help="source text, or @file")
+        p_prog.set_defaults(func=func)
 
     p_comp = subs.add_parser(
         "compose",

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .monads import (DIVERGE, MonadKind, MonadValue, Present, Raised,
-                     stores)
+from .monads import INSTANCES, MonadKind, MonadValue
 from .presentations import GenericEffect, Presentation
 
 LETTERS = ("a", "b", "c", "d", "e")
@@ -24,51 +22,8 @@ def random_value(kind: MonadKind, rng: random.Random,
                  max_denominator: int = 16,
                  max_output_len: int = 3) -> MonadValue:
     """A random element of the instance over the given carrier."""
-    carrier = list(carrier)
-    tag = kind.tag
-    if tag == "maybe":
-        if not carrier or rng.random() < 0.2:
-            return MonadValue(kind, DIVERGE)
-        return MonadValue(kind, Present(rng.choice(carrier)))
-    if tag == "exc":
-        roll = rng.random()
-        if roll < 0.2 or not carrier:
-            if roll < 0.1:
-                return MonadValue(kind, DIVERGE)
-            return MonadValue(kind, Raised(rng.choice(kind.exceptions)))
-        return MonadValue(kind, Present(rng.choice(carrier)))
-    if tag == "set":
-        k = rng.randint(0, min(len(carrier), 3))
-        return MonadValue(kind, frozenset(rng.sample(carrier, k)))
-    if tag == "dist":
-        denom = rng.randint(1, max_denominator)
-        k = rng.randint(0, min(len(carrier), 3))
-        chosen = rng.sample(carrier, k)
-        left = denom
-        entries = {}
-        for x in chosen:
-            w = rng.randint(0, left)
-            left -= w
-            if w:
-                entries[x] = Fraction(w, denom)
-        return MonadValue(kind, entries)
-    if tag == "state":
-        all_stores = stores(kind)
-        table = {}
-        for s in all_stores:
-            if not carrier or rng.random() < 0.25:
-                table[s] = DIVERGE
-            else:
-                table[s] = Present((rng.choice(carrier),
-                                    rng.choice(all_stores)))
-        return MonadValue(kind, table)
-    if tag == "output":
-        w = "".join(rng.choice(kind.alphabet)
-                    for _ in range(rng.randint(0, max_output_len)))
-        if not carrier or rng.random() < 0.25:
-            return MonadValue(kind, (w, DIVERGE))
-        return MonadValue(kind, (w, Present(rng.choice(carrier))))
-    raise ValueError(f"unknown monad tag {tag!r}")
+    return MonadValue(kind, INSTANCES[kind.tag].random(
+        kind, rng, list(carrier), max_denominator, max_output_len))
 
 
 def random_effect(kind: MonadKind, rng: random.Random,
@@ -101,31 +56,7 @@ def random_kleisli(kind: MonadKind, rng: random.Random,
 
 def weaken(nu: MonadValue, rng: random.Random) -> MonadValue:
     """A random value below ``nu`` in the instance order."""
-    kind = nu.kind
-    tag = kind.tag
-    if tag in ("maybe", "exc"):
-        return nu if rng.random() < 0.6 else MonadValue(kind, DIVERGE)
-    if tag == "set":
-        kept = [x for x in nu.payload if rng.random() < 0.6]
-        return MonadValue(kind, frozenset(kept))
-    if tag == "dist":
-        entries = {}
-        for x, p in nu.payload.items():
-            scale = Fraction(rng.randint(0, 4), 4)
-            if scale:
-                entries[x] = p * scale
-        return MonadValue(kind, entries)
-    if tag == "state":
-        table = {s: (cell if rng.random() < 0.6 else DIVERGE)
-                 for s, cell in nu.payload.items()}
-        return MonadValue(kind, table)
-    if tag == "output":
-        w, tail = nu.payload
-        if rng.random() < 0.5:
-            return nu
-        cut = rng.randint(0, len(w))
-        return MonadValue(kind, (w[:cut], DIVERGE))
-    raise ValueError(f"unknown monad tag {tag!r}")
+    return MonadValue(nu.kind, INSTANCES[nu.kind.tag].weaken(nu.payload, rng))
 
 
 def enumerate_values(kind: MonadKind, carrier: Sequence) -> Optional[list]:
@@ -134,24 +65,10 @@ def enumerate_values(kind: MonadKind, carrier: Sequence) -> Optional[list]:
     Only the flat instances enumerate; subdistributions, state tables and
     output strings are covered by randomized trials instead.
     """
-    carrier = list(carrier)
-    tag = kind.tag
-    if tag == "maybe":
-        vals = [MonadValue(kind, DIVERGE)]
-        vals += [MonadValue(kind, Present(x)) for x in carrier]
-        return vals
-    if tag == "exc":
-        vals = [MonadValue(kind, DIVERGE)]
-        vals += [MonadValue(kind, Raised(e)) for e in kind.exceptions]
-        vals += [MonadValue(kind, Present(x)) for x in carrier]
-        return vals
-    if tag == "set" and len(carrier) <= 3:
-        vals = []
-        for k in range(len(carrier) + 1):
-            for combo in itertools.combinations(carrier, k):
-                vals.append(MonadValue(kind, frozenset(combo)))
-        return vals
-    return None
+    payloads = INSTANCES[kind.tag].enumerate(kind, list(carrier))
+    if payloads is None:
+        return None
+    return [MonadValue(kind, p) for p in payloads]
 
 
 def enumerate_kleisli(kind: MonadKind, domain: Sequence,

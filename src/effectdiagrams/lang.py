@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .algebra import seq_compose
-from .monads import (DIST, KindError, MonadKind, MonadValue, OpDescriptor,
-                     POWERSET, bind, bottom, exception_kind, op_apply,
-                     output_kind, state_kind, unit)
+from .monads import (INSTANCES, KindError, MonadKind, MonadValue,
+                     OpDescriptor, bind, bottom, op_apply, unit)
 from .presentations import Presentation, decompose
 
 
@@ -166,72 +165,37 @@ def substitute(term: Term, name: str, replacement: Term) -> Term:
     return go(term)
 
 
-# name -> (monad tag, arity, number of bracket indices)
-OP_FAMILIES = {
-    "raise": ("exc", 0, 1),
-    "union": ("set", 2, 0),
-    "choice": ("dist", 2, 0),
-    "read": ("state", 2, 1),
-    "write": ("state", 1, 2),
-    "print": ("output", 1, 1),
-}
+# operation name -> the instance whose signature holds it
+OP_FAMILIES = {name: inst for inst in INSTANCES.values() for name in inst.ops}
 
 
 def _op_descriptor(name: str, indices: list, kind: Optional[MonadKind],
                    pos: int) -> OpDescriptor:
-    tag, arity, n_idx = OP_FAMILIES[name]
+    owner = OP_FAMILIES[name]
+    arity, n_idx = owner.ops[name]
     if len(indices) != n_idx:
         raise ParseError(
             f"{name} takes {n_idx} bracket indices, got {len(indices)}", pos)
-    if name == "write":
-        loc, bit = indices
-        if bit not in (0, 1):
-            raise ParseError(f"write bit must be 0 or 1, got {bit!r}", pos)
-        index = (loc, bit)
-    elif n_idx == 1:
-        index = indices[0]
-    else:
-        index = None
+    if name == "write" and indices[1] not in (0, 1):
+        raise ParseError(f"write bit must be 0 or 1, got {indices[1]!r}", pos)
+    index = tuple(indices) if n_idx > 1 else (indices[0] if n_idx else None)
     if kind is None:
-        inferred = {
-            "exc": lambda: exception_kind((index,)),
-            "set": lambda: POWERSET,
-            "dist": lambda: DIST,
-            "state": lambda: state_kind(
-                (index,) if name == "read" else (index[0],)),
-            "output": lambda: output_kind((index,)),
-        }[tag]()
-        return OpDescriptor(name, arity, inferred, index)
-    if kind.tag != tag:
-        raise SignatureError(
-            f"operation {name!r} is not in the {kind.tag} signature")
-    desc = OpDescriptor(name, arity, kind, index)
-    _validate_index(desc)
-    return desc
+        kind = owner.minimal_kind(name, index)
+    return _descriptor(name, arity, kind, index)
 
 
-def _validate_index(desc: OpDescriptor) -> None:
-    kind, index = desc.kind, desc.index
-    if desc.name == "raise" and index not in kind.exceptions:
-        raise SignatureError(f"unknown exception label {index!r}")
-    if desc.name == "read" and index not in kind.locations:
-        raise SignatureError(f"unknown location {index!r}")
-    if desc.name == "write" and index[0] not in kind.locations:
-        raise SignatureError(f"unknown location {index[0]!r}")
-    if desc.name == "print" and index not in kind.alphabet:
-        raise SignatureError(f"character {index!r} not in the alphabet")
+def _descriptor(name: str, arity: int, kind: MonadKind, index):
+    try:
+        return OpDescriptor(name, arity, kind, index)
+    except KindError as exc:
+        raise SignatureError(str(exc)) from None
 
 
 def resolve_op(desc: OpDescriptor, kind: MonadKind) -> OpDescriptor:
     """Rebind a parsed descriptor to the active monad, or refuse."""
     if desc.kind == kind:
         return desc
-    if desc.kind.tag != kind.tag:
-        raise SignatureError(
-            f"operation {desc.name!r} is not in the {kind.tag} signature")
-    rebound = OpDescriptor(desc.name, desc.arity, kind, desc.index)
-    _validate_index(rebound)
-    return rebound
+    return _descriptor(desc.name, desc.arity, kind, desc.index)
 
 
 _PUNCT = "\\.()[],;"
@@ -292,10 +256,13 @@ class _Parser:
             raise ParseError(f"trailing input starting at {text!r}", pos)
         return term
 
+    def at(self, punct: str) -> bool:
+        typ, text, _ = self.peek()
+        return typ == "punct" and text == punct
+
     def parse_seq(self) -> Term:
         left = self.parse_app()
-        typ, text, _ = self.peek()
-        if typ == "punct" and text == ";":
+        if self.at(";"):
             self.next()
             right = self.parse_seq()
             ignored = "_" if "_" not in free_vars(right) \
@@ -336,8 +303,7 @@ class _Parser:
 
     def parse_op(self, name: str, pos: int) -> Term:
         indices = []
-        typ, text, _ = self.peek()
-        if typ == "punct" and text == "[":
+        if self.at("["):
             self.next()
             while True:
                 ityp, itext, ipos = self.next()
@@ -356,16 +322,11 @@ class _Parser:
         desc = _op_descriptor(name, indices, self.kind, pos)
         self.expect("(")
         args = []
-        typ, text, _ = self.peek()
-        if not (typ == "punct" and text == ")"):
+        if not self.at(")"):
             args.append(self.parse_seq())
-            while True:
-                typ, text, tpos = self.peek()
-                if typ == "punct" and text == ",":
-                    self.next()
-                    args.append(self.parse_seq())
-                else:
-                    break
+            while self.at(","):
+                self.next()
+                args.append(self.parse_seq())
         self.expect(")")
         if len(args) != desc.arity:
             raise ParseError(

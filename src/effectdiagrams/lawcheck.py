@@ -10,14 +10,16 @@ the order of two raises or two prints is observable).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import gen
-from .algebra import (algebraic_violation, basic_effects, bottom_effect,
-                      check_commutative, descriptor_op, effect_to_op,
-                      exchange_violation, seq_compose, trivial_effect)
+from .algebra import (_describe, algebraic_violation, basic_effects,
+                      bottom_effect, check_commutative, descriptor_op,
+                      effect_to_op, exchange_violation, seq_compose,
+                      trivial_effect)
 from .monads import (DIST, MAYBE, MonadKind, POWERSET, bind, bottom,
                      exception_kind, leq, map_carrier, output_kind, signature,
                      state_kind, support, unit)
@@ -58,7 +60,7 @@ class LawSuiteConfig:
             raise ValueError(f"unknown law identifiers: {sorted(unknown)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LawResult:
     law: str
     monad: MonadKind
@@ -73,13 +75,11 @@ class LawResult:
         return self.passed == self.expected_pass
 
     def to_obj(self) -> dict:
-        from .algebra import _describe
         obj = {"law": self.law, "monad": self.monad.tag,
                "pass": self.passed, "trials": self.trials,
                "seed": self.seed, "expected_pass": self.expected_pass}
         if self.counterexample is not None:
-            obj["counterexample"] = {
-                k: _describe(v) for k, v in self.counterexample.items()}
+            obj["counterexample"] = _describe(self.counterexample)
         return obj
 
 
@@ -297,15 +297,10 @@ def _law_bottom(kind, rng, cfg):
 def _law_absorption(kind, rng, cfg):
     """Right bottom absorption: an effect over all-bottom is bottom."""
     bot = bottom(kind)
-    trials = 0
-    for eff in basic_effects(kind):
-        trials += 1
-        got = bind(eff.body, lambda i: bot)
-        if got != bot:
-            return False, trials, {"effect": eff, "got": got}
-    for _ in range(cfg.trials):
-        trials += 1
-        eff = gen.random_effect(kind, rng, max_arity=cfg.arity_max)
+    randoms = (gen.random_effect(kind, rng, max_arity=cfg.arity_max)
+               for _ in range(cfg.trials))
+    for trials, eff in enumerate(
+            itertools.chain(basic_effects(kind), randoms), 1):
         got = bind(eff.body, lambda i: bot)
         if got != bot:
             return False, trials, {"effect": eff, "got": got}

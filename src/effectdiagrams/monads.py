@@ -13,6 +13,12 @@ elements:
 * ``output`` -- a finite printed prefix over a fixed alphabet and a
                 converged-or-divergent tail
 
+Each instance is one ``Instance`` subclass holding everything that
+depends on its tag; ``INSTANCES`` maps tags to them and the module-level
+functions dispatch through it.  ``MonadValue(kind, payload)`` validates
+its payload; values built here from values that are already valid skip
+that check.
+
 Values are immutable after construction and every function here is pure,
 so values may be shared and used from multiple threads freely.
 Probabilities are ``fractions.Fraction`` throughout: equality of values
@@ -24,11 +30,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 MAX_LOCATIONS = 4
-
-KNOWN_TAGS = ("maybe", "exc", "set", "dist", "state", "output")
 
 
 class KindError(ValueError):
@@ -46,20 +51,13 @@ def canonical_key(x):
     anything else by type name and string form.  Used wherever a
     deterministic enumeration of carrier elements is needed.
     """
-    if isinstance(x, bool):
-        return (0, int(x))
     if isinstance(x, int):
-        return (0, x)
+        return (0, int(x))
     if isinstance(x, str):
         return (1, x)
     if isinstance(x, tuple):
         return (2, tuple(canonical_key(v) for v in x))
     return (3, type(x).__name__, str(x))
-
-
-def canonical_text(x) -> str:
-    """Canonical printed form of a carrier element."""
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -77,45 +75,12 @@ class MonadKind:
     alphabet: tuple = ()
 
     def __post_init__(self):
-        if self.tag not in KNOWN_TAGS:
-            raise KindError(f"unknown monad tag {self.tag!r}")
-        for name, params in (("exceptions", self.exceptions),
-                             ("locations", self.locations),
-                             ("alphabet", self.alphabet)):
+        inst = instance(self.tag)
+        for name in ("exceptions", "locations", "alphabet"):
+            params = getattr(self, name)
             if len(set(params)) != len(params):
                 raise KindError(f"duplicate entries in {name}: {params!r}")
-        if self.tag == "exc" and not self.exceptions:
-            raise KindError("exception monad needs a non-empty label set")
-        if self.tag == "state":
-            if not self.locations:
-                raise KindError("state monad needs a non-empty location list")
-            if len(self.locations) > MAX_LOCATIONS:
-                raise KindError(
-                    f"at most {MAX_LOCATIONS} locations supported, "
-                    f"got {len(self.locations)}")
-        if self.tag == "output":
-            if not self.alphabet:
-                raise KindError("output monad needs a non-empty alphabet")
-            if any(not (isinstance(c, str) and len(c) == 1)
-                   for c in self.alphabet):
-                raise KindError("alphabet entries must be single characters")
-
-
-MAYBE = MonadKind("maybe")
-POWERSET = MonadKind("set")
-DIST = MonadKind("dist")
-
-
-def exception_kind(labels: Iterable[str]) -> MonadKind:
-    return MonadKind("exc", exceptions=tuple(labels))
-
-
-def state_kind(locations: Iterable[str]) -> MonadKind:
-    return MonadKind("state", locations=tuple(locations))
-
-
-def output_kind(alphabet: Iterable[str]) -> MonadKind:
-    return MonadKind("output", alphabet=tuple(alphabet))
+        inst.check_kind(self)
 
 
 @dataclass(frozen=True)
@@ -146,7 +111,8 @@ class OpDescriptor:
 
     ``index`` holds the label for ``raise``, the location for ``read``,
     the ``(location, bit)`` pair for ``write`` and the character for
-    ``print``; it is ``None`` for ``union`` and ``choice``.
+    ``print``; it is ``None`` for ``union`` and ``choice``.  A descriptor
+    outside its kind's signature raises ``KindError``.
     """
 
     name: str
@@ -154,11 +120,15 @@ class OpDescriptor:
     kind: MonadKind
     index: Any = None
 
+    def __post_init__(self):
+        INSTANCES[self.kind.tag].check_op(
+            self.kind, self.name, self.arity, self.index)
+
 
 class MonadValue:
     """One element of one monad instance, canonicalised on construction.
 
-    The payload layout depends on ``kind.tag``:
+    A malformed payload raises ``KindError``.  The layout by tag:
 
     * maybe:  ``Present(x)`` or ``DIVERGE``
     * exc:    ``Present(x)``, ``Raised(e)`` or ``DIVERGE``
@@ -173,8 +143,8 @@ class MonadValue:
     __slots__ = ("kind", "payload")
 
     def __init__(self, kind: MonadKind, payload):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", _normalise(kind, payload))
+        _set_kind(self, kind)
+        _set_payload(self, _normalise(kind, payload))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonadValue is immutable")
@@ -184,10 +154,6 @@ class MonadValue:
             return NotImplemented
         return self.kind == other.kind and self.payload == other.payload
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
@@ -195,114 +161,595 @@ class MonadValue:
 
 
 def _normalise(kind: MonadKind, payload):
-    tag = kind.tag
-    if tag == "maybe":
-        if isinstance(payload, (Present, Diverge)):
+    """Check and canonicalise a payload: the one validating entry point."""
+    try:
+        return INSTANCES[kind.tag].normalise(kind, payload)
+    except KindError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise KindError(f"bad {kind.tag} payload {payload!r}: {exc}") \
+            from None
+
+
+# the slot setters bypass MonadValue.__setattr__, which refuses assignment
+_set_kind, _set_payload = MonadValue.kind.__set__, MonadValue.payload.__set__
+
+
+def _trusted(kind: MonadKind, payload) -> MonadValue:
+    """Wrap a payload that is canonical by construction, unchecked."""
+    mu = object.__new__(MonadValue)
+    _set_kind(mu, kind)
+    _set_payload(mu, payload)
+    return mu
+
+
+def value_to_obj(x):
+    if isinstance(x, bool):
+        raise KindError("boolean carrier elements are not supported")
+    if isinstance(x, (int, str)):
+        return x
+    return str(x)
+
+
+def value_from_obj(obj):
+    if isinstance(obj, (int, str)):
+        return obj
+    raise KindError(f"bad serialized carrier element: {obj!r}")
+
+
+class Instance:
+    """Everything one monad instance knows, for one ``MonadKind.tag``.
+
+    Methods take and return bare payloads.  ``normalise`` and
+    ``from_obj`` accept untrusted input; every other method may assume
+    its payloads are canonical and must return canonical payloads.  See
+    the README for the list of methods a subclass provides.
+    """
+
+    tag = ""
+    # the MonadKind field this instance is parameterised by, if any
+    param: Optional[str] = None
+    # operation name -> (arity, number of bracket indices in the syntax)
+    ops: dict = {}
+
+    def check_kind(self, kind: MonadKind) -> None:
+        """Reject parameters this instance cannot work with."""
+
+    def make_kind(self, entries: Iterable = ()) -> MonadKind:
+        """This instance's kind with ``entries`` as its parameter."""
+        params = {self.param: tuple(entries)} if self.param else {}
+        return MonadKind(self.tag, **params)
+
+    def kind_from_text(self, texts: Mapping[str, str]) -> MonadKind:
+        """The kind named by command-line texts keyed by parameter."""
+        return self.make_kind(
+            texts[self.param].split(",") if self.param else ())
+
+    def kind_to_obj(self, kind: MonadKind) -> dict:
+        obj = {"kind": self.tag}
+        if self.param is not None:
+            obj[self.param] = list(getattr(kind, self.param))
+        return obj
+
+    def returns(self, payload) -> Iterable:
+        """The carrier elements a payload may return, each once.
+
+        ``bind`` calls its continuation on these in this order from its
+        own frame, so nested binds cost one stack frame each, and hands
+        the results, in the same order, to ``join``.
+        """
+        return payload
+
+    def support(self, payload) -> list:
+        return sorted(self.returns(payload), key=canonical_key)
+
+    def indices(self, kind: MonadKind, name: str) -> Sequence:
+        """Every index the operation ``name`` takes under ``kind``."""
+        return getattr(kind, self.param) if self.param else (None,)
+
+    def bad_index(self, kind: MonadKind, name: str, index) -> str:
+        return f"{name} takes no index, got {index!r}"
+
+    def check_op(self, kind: MonadKind, name: str, arity: int, index):
+        if name not in self.ops:
+            raise KindError(
+                f"operation {name!r} is not in the {self.tag} signature")
+        if arity != self.ops[name][0]:
+            raise KindError(
+                f"{name} has arity {self.ops[name][0]}, not {arity}")
+        if index not in self.indices(kind, name):
+            raise KindError(self.bad_index(kind, name, index))
+
+    def minimal_kind(self, name: str, index) -> MonadKind:
+        """The smallest kind whose signature has this operation."""
+        return self.make_kind((index,))
+
+    def enumerate(self, kind: MonadKind, carrier: list) -> Optional[list]:
+        return None
+
+
+class Maybe(Instance):
+    tag = "maybe"
+    cells: tuple = (Present, Diverge)
+
+    def normalise(self, kind, payload):
+        if isinstance(payload, self.cells):
             return payload
-        raise KindError(f"bad maybe payload: {payload!r}")
-    if tag == "exc":
+        raise KindError(f"bad {self.tag} payload: {payload!r}")
+
+    def unit(self, kind, x):
+        return Present(x)
+
+    def bottom(self, kind):
+        return DIVERGE
+
+    def returns(self, payload):
+        return [payload.value] if isinstance(payload, Present) else []
+
+    support = returns
+
+    def join(self, payload, outs):
+        return outs[0] if outs else payload
+
+    def leq(self, a, b):
+        # DIVERGE is below everything, a converged cell only below itself
+        return isinstance(a, Diverge) or a == b
+
+    def to_obj(self, payload):
+        if isinstance(payload, Present):
+            return {"value": value_to_obj(payload.value)}
         if isinstance(payload, Raised):
-            if payload.label not in kind.exceptions:
-                raise KindError(f"unknown exception label {payload.label!r}")
-            return payload
-        if isinstance(payload, (Present, Diverge)):
-            return payload
-        raise KindError(f"bad exception payload: {payload!r}")
-    if tag == "set":
+            return {"raised": payload.label}
+        return {"bottom": True}
+
+    def from_obj(self, kind, obj):
+        if obj.get("bottom"):
+            return DIVERGE
+        if "raised" in obj:
+            return Raised(obj["raised"])
+        return Present(value_from_obj(obj["value"]))
+
+    def render(self, payload):
+        if isinstance(payload, Present):
+            return str(payload.value)
+        if isinstance(payload, Raised):
+            return f"raise {payload.label}"
+        return "↑"
+
+    def effect_text(self, arity, payload):
+        if isinstance(payload, Present):
+            return f"ret {payload.value}"
+        return self.render(payload)
+
+    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+        if not carrier or rng.random() < 0.2:
+            return DIVERGE
+        return Present(rng.choice(carrier))
+
+    def weaken(self, payload, rng):
+        return payload if rng.random() < 0.6 else DIVERGE
+
+    def enumerate(self, kind, carrier):
+        return [DIVERGE, *map(Present, carrier)]
+
+
+# state cells and output tails are maybe payloads
+_CELL = Maybe()
+
+
+class Exc(Maybe):
+    tag = "exc"
+    param = "exceptions"
+    ops = {"raise": (0, 1)}
+    cells = (Present, Raised, Diverge)
+
+    def check_kind(self, kind):
+        if not kind.exceptions:
+            raise KindError("exception monad needs a non-empty label set")
+
+    def normalise(self, kind, payload):
+        if isinstance(payload, Raised) and \
+                payload.label not in kind.exceptions:
+            raise KindError(f"unknown exception label {payload.label!r}")
+        return super().normalise(kind, payload)
+
+    def bad_index(self, kind, name, index):
+        return f"unknown exception label {index!r}"
+
+    def apply(self, kind, name, index, args):
+        return Raised(index)
+
+    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+        roll = rng.random()
+        if roll < 0.2 or not carrier:
+            if roll < 0.1:
+                return DIVERGE
+            return Raised(rng.choice(kind.exceptions))
+        return Present(rng.choice(carrier))
+
+    def enumerate(self, kind, carrier):
+        return [DIVERGE, *map(Raised, kind.exceptions), *map(Present, carrier)]
+
+
+class Powerset(Instance):
+    tag = "set"
+    ops = {"union": (2, 0)}
+
+    def normalise(self, kind, payload):
         return frozenset(payload)
-    if tag == "dist":
-        entries = {}
-        total = Fraction(0)
-        for x, p in dict(payload).items():
-            p = Fraction(p)
+
+    def unit(self, kind, x):
+        return frozenset((x,))
+
+    def bottom(self, kind):
+        return frozenset()
+
+    def join(self, payload, outs):
+        return frozenset().union(*outs)
+
+    def leq(self, a, b):
+        return a <= b
+
+    def apply(self, kind, name, index, args):
+        return args[0] | args[1]
+
+    def to_obj(self, payload):
+        return {"elements": [value_to_obj(x) for x in self.support(payload)]}
+
+    def from_obj(self, kind, obj):
+        return frozenset(value_from_obj(x) for x in obj["elements"])
+
+    def render(self, payload):
+        if not payload:
+            return "∅"
+        return "{" + ", ".join(map(str, self.support(payload))) + "}"
+
+    def effect_text(self, arity, payload):
+        return "{" + ",".join(str(i) for i in sorted(payload)) + "}"
+
+    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+        k = rng.randint(0, min(len(carrier), 3))
+        return frozenset(rng.sample(carrier, k))
+
+    def weaken(self, payload, rng):
+        return frozenset([x for x in payload if rng.random() < 0.6])
+
+    def enumerate(self, kind, carrier):
+        if len(carrier) > 3:
+            return None
+        return [frozenset(combo) for k in range(len(carrier) + 1)
+                for combo in itertools.combinations(carrier, k)]
+
+
+class Dist(Instance):
+    tag = "dist"
+    ops = {"choice": (2, 0)}
+
+    def normalise(self, kind, payload):
+        entries = {x: Fraction(p) for x, p in dict(payload).items()}
+        for x, p in entries.items():
             if p < 0:
                 raise KindError(f"negative probability {p} for {x!r}")
-            if p == 0:
-                continue
-            entries[x] = p
-            total += p
+        entries = {x: p for x, p in entries.items() if p}
+        total = sum(entries.values(), Fraction(0))
         if total > 1:
             raise KindError(f"total mass {total} exceeds 1")
         return entries
-    if tag == "state":
+
+    def unit(self, kind, x):
+        return {x: Fraction(1)}
+
+    def bottom(self, kind):
+        return {}
+
+    def join(self, payload, outs):
+        acc: dict = {}
+        for p, out in zip(payload.values(), outs):
+            for y, q in out.items():
+                acc[y] = acc.get(y, 0) + p * q
+        return acc
+
+    def leq(self, a, b):
+        return all(p <= b.get(x, 0) for x, p in a.items())
+
+    def apply(self, kind, name, index, args):
+        # fair choice: a fair coin bound over the two arguments
+        return self.join({0: Fraction(1, 2), 1: Fraction(1, 2)}, args)
+
+    def to_obj(self, payload):
+        return {"entries": [[value_to_obj(x), str(payload[x])]
+                            for x in self.support(payload)]}
+
+    def from_obj(self, kind, obj):
+        return {value_from_obj(x): Fraction(p) for x, p in obj["entries"]}
+
+    def render(self, payload):
+        return "{" + ", ".join(f"{x}: {payload[x]}"
+                               for x in self.support(payload)) + "}"
+
+    def effect_text(self, arity, payload):
+        return ",".join(str(payload.get(i, 0)) for i in range(1, arity + 1))
+
+    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+        denom = rng.randint(1, max_denominator)
+        k = rng.randint(0, min(len(carrier), 3))
+        chosen = rng.sample(carrier, k)
+        left = denom
+        entries = {}
+        for x in chosen:
+            w = rng.randint(0, left)
+            left -= w
+            if w:
+                entries[x] = Fraction(w, denom)
+        return entries
+
+    def weaken(self, payload, rng):
+        scales = [Fraction(rng.randint(0, 4), 4) for _ in payload]
+        return {x: p * s for (x, p), s in zip(payload.items(), scales) if s}
+
+
+@lru_cache(maxsize=None)
+def _stores(width: int) -> tuple:
+    return tuple(itertools.product((0, 1), repeat=width))
+
+
+def _bits(store) -> str:
+    return "".join(str(b) for b in store)
+
+
+def _store_from_str(text: str, width: int):
+    if len(text) != width or any(c not in "01" for c in text):
+        raise KindError(f"bad serialized store {text!r}")
+    return tuple(int(c) for c in text)
+
+
+class State(Instance):
+    tag = "state"
+    param = "locations"
+    ops = {"read": (2, 1), "write": (1, 2)}
+
+    def check_kind(self, kind):
+        if not kind.locations:
+            raise KindError("state monad needs a non-empty location list")
+        if len(kind.locations) > MAX_LOCATIONS:
+            raise KindError(
+                f"at most {MAX_LOCATIONS} locations supported, "
+                f"got {len(kind.locations)}")
+
+    def normalise(self, kind, payload):
         table = dict(payload)
-        cells = {}
-        for store in stores(kind):
+        all_stores = _stores(len(kind.locations))
+        for store in all_stores:
             if store not in table:
                 raise KindError(f"store {store!r} missing from state table")
-            cell = table[store]
-            if isinstance(cell, Present):
-                x, nxt = cell.value
-                nxt = tuple(nxt)
-                if len(nxt) != len(kind.locations) or any(
-                        b not in (0, 1) for b in nxt):
-                    raise KindError(f"bad successor store {nxt!r}")
-                cells[store] = Present((x, nxt))
-            elif isinstance(cell, Diverge):
-                cells[store] = DIVERGE
-            else:
-                raise KindError(f"bad state cell {cell!r}")
-        if len(table) != len(cells):
+        if len(table) != len(all_stores):
             raise KindError("state table mentions stores outside the kind")
-        return cells
-    if tag == "output":
+        return {s: self._cell(kind, table[s]) for s in all_stores}
+
+    def _cell(self, kind, cell):
+        if isinstance(cell, Diverge):
+            return DIVERGE
+        if not isinstance(cell, Present):
+            raise KindError(f"bad state cell {cell!r}")
+        x, nxt = cell.value
+        nxt = tuple(nxt)
+        if len(nxt) != len(kind.locations) or \
+                any(b not in (0, 1) for b in nxt):
+            raise KindError(f"bad successor store {nxt!r}")
+        return Present((x, nxt))
+
+    def unit(self, kind, x):
+        return {s: Present((x, s)) for s in _stores(len(kind.locations))}
+
+    def bottom(self, kind):
+        return dict.fromkeys(_stores(len(kind.locations)), DIVERGE)
+
+    def returns(self, payload):
+        return list(dict.fromkeys(cell.value[0] for cell in payload.values()
+                                  if isinstance(cell, Present)))
+
+    def join(self, payload, outs):
+        # one continuation result per returned element, shared by every
+        # store that returns it; chains of binds do not fan out per store
+        results = dict(zip(self.returns(payload), outs))
+        return {s: results[c.value[0]][c.value[1]]
+                if isinstance(c, Present) else DIVERGE
+                for s, c in payload.items()}
+
+    def leq(self, a, b):
+        return all(_CELL.leq(a[s], b[s]) for s in a)
+
+    def indices(self, kind, name):
+        if name == "read":
+            return kind.locations
+        return [(loc, b) for loc in kind.locations for b in (0, 1)]
+
+    def bad_index(self, kind, name, index):
+        if name == "write":
+            if not isinstance(index, tuple) or len(index) != 2 or \
+                    index[0] in kind.locations:
+                return f"bad write index {index!r}"
+            index = index[0]
+        return f"unknown location {index!r}"
+
+    def apply(self, kind, name, index, args):
+        all_stores = _stores(len(kind.locations))
+        if name == "read":
+            i = kind.locations.index(index)
+            return {s: args[s[i]][s] for s in all_stores}
+        loc, bit = index
+        i = kind.locations.index(loc)
+        return {s: args[0][s[:i] + (bit,) + s[i + 1:]] for s in all_stores}
+
+    def minimal_kind(self, name, index):
+        return self.make_kind((index if name == "read" else index[0],))
+
+    def to_obj(self, payload):
+        return {"table": [
+            [_bits(s), [value_to_obj(c.value[0]), _bits(c.value[1])]
+             if isinstance(c, Present) else None]
+            for s, c in sorted(payload.items())]}
+
+    def from_obj(self, kind, obj):
+        width = len(kind.locations)
+        table = {}
+        for store_s, cell in obj["table"]:
+            store = _store_from_str(store_s, width)
+            if cell is None:
+                table[store] = DIVERGE
+            else:
+                x, nxt = cell
+                table[store] = Present(
+                    (value_from_obj(x), _store_from_str(nxt, width)))
+        return table
+
+    def _cells(self, payload, arrow, sep, comma):
+        return sep.join(
+            f"{_bits(s)}{arrow}({c.value[0]}{comma}{_bits(c.value[1])})"
+            if isinstance(c, Present) else f"{_bits(s)}{arrow}↑"
+            for s, c in sorted(payload.items()))
+
+    def render(self, payload):
+        return "{" + self._cells(payload, " ↦ ", ", ", ", ") + "}"
+
+    def effect_text(self, arity, payload):
+        return self._cells(payload, "↦", " , ", ",")
+
+    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+        all_stores = _stores(len(kind.locations))
+        return {s: DIVERGE if not carrier or rng.random() < 0.25
+                else Present((rng.choice(carrier), rng.choice(all_stores)))
+                for s in all_stores}
+
+    def weaken(self, payload, rng):
+        return {s: (cell if rng.random() < 0.6 else DIVERGE)
+                for s, cell in payload.items()}
+
+
+class Output(Instance):
+    tag = "output"
+    param = "alphabet"
+    ops = {"print": (1, 1)}
+
+    def check_kind(self, kind):
+        if not kind.alphabet:
+            raise KindError("output monad needs a non-empty alphabet")
+        if any(not (isinstance(c, str) and len(c) == 1)
+               for c in kind.alphabet):
+            raise KindError("alphabet entries must be single characters")
+
+    def kind_from_text(self, texts):
+        return self.make_kind(texts[self.param])
+
+    def normalise(self, kind, payload):
         w, tail = payload
         if not isinstance(w, str) or any(c not in kind.alphabet for c in w):
             raise KindError(f"output string {w!r} not over the alphabet")
         if not isinstance(tail, (Present, Diverge)):
             raise KindError(f"bad output tail {tail!r}")
         return (w, tail)
-    raise KindError(f"unknown monad tag {tag!r}")
+
+    def unit(self, kind, x):
+        return ("", Present(x))
+
+    def bottom(self, kind):
+        return ("", DIVERGE)
+
+    def returns(self, payload):
+        return _CELL.returns(payload[1])
+
+    support = returns
+
+    def join(self, payload, outs):
+        if not outs:
+            return payload
+        u, tail = outs[0]
+        return (payload[0] + u, tail)
+
+    def leq(self, a, b):
+        u, ta = a
+        w, tb = b
+        if isinstance(ta, Diverge):
+            return w.startswith(u)
+        return u == w and ta == tb
+
+    def bad_index(self, kind, name, index):
+        return f"character {index!r} not in the alphabet"
+
+    def apply(self, kind, name, index, args):
+        w, tail = args[0]
+        return (index + w, tail)
+
+    def to_obj(self, payload):
+        return {"out": payload[0], **_CELL.to_obj(payload[1])}
+
+    def from_obj(self, kind, obj):
+        return (obj["out"], _CELL.from_obj(kind, obj))
+
+    def render(self, payload):
+        return f'("{payload[0]}", {_CELL.render(payload[1])})'
+
+    def effect_text(self, arity, payload):
+        return f"({payload[0] or 'ε'},{_CELL.render(payload[1])})"
+
+    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+        w = "".join(rng.choice(kind.alphabet)
+                    for _ in range(rng.randint(0, max_output_len)))
+        if not carrier or rng.random() < 0.25:
+            return (w, DIVERGE)
+        return (w, Present(rng.choice(carrier)))
+
+    def weaken(self, payload, rng):
+        if rng.random() < 0.5:
+            return payload
+        w = payload[0]
+        return (w[:rng.randint(0, len(w))], DIVERGE)
+
+
+INSTANCES: dict[str, Instance] = {
+    inst.tag: inst
+    for inst in (Maybe(), Exc(), Powerset(), Dist(), State(), Output())}
+
+KNOWN_TAGS = tuple(INSTANCES)
+
+
+def instance(tag: str) -> Instance:
+    """The registered instance for a tag."""
+    try:
+        return INSTANCES[tag]
+    except (KeyError, TypeError):
+        raise KindError(f"unknown monad tag {tag!r}") from None
+
+
+MAYBE = MonadKind("maybe")
+POWERSET = MonadKind("set")
+DIST = MonadKind("dist")
+
+
+exception_kind = INSTANCES["exc"].make_kind
+state_kind = INSTANCES["state"].make_kind
+output_kind = INSTANCES["output"].make_kind
 
 
 def stores(kind: MonadKind) -> list[tuple[int, ...]]:
     """All boolean stores of a state kind, in lexicographic order."""
-    if kind.tag != "state":
+    if not isinstance(INSTANCES[kind.tag], State):
         raise KindError("stores() only applies to the state monad")
-    return list(itertools.product((0, 1), repeat=len(kind.locations)))
+    return list(_stores(len(kind.locations)))
 
 
 def unit(kind: MonadKind, x) -> MonadValue:
     """The trivially converging computation returning ``x``."""
-    tag = kind.tag
-    if tag in ("maybe", "exc"):
-        return MonadValue(kind, Present(x))
-    if tag == "set":
-        return MonadValue(kind, frozenset((x,)))
-    if tag == "dist":
-        return MonadValue(kind, {x: Fraction(1)})
-    if tag == "state":
-        return MonadValue(
-            kind, {s: Present((x, s)) for s in stores(kind)})
-    if tag == "output":
-        return MonadValue(kind, ("", Present(x)))
-    raise KindError(f"unknown monad tag {tag!r}")
+    return _trusted(kind, INSTANCES[kind.tag].unit(kind, x))
 
 
 def bottom(kind: MonadKind) -> MonadValue:
     """The least element of the instance order."""
-    tag = kind.tag
-    if tag in ("maybe", "exc"):
-        return MonadValue(kind, DIVERGE)
-    if tag == "set":
-        return MonadValue(kind, frozenset())
-    if tag == "dist":
-        return MonadValue(kind, {})
-    if tag == "state":
-        return MonadValue(kind, {s: DIVERGE for s in stores(kind)})
-    if tag == "output":
-        return MonadValue(kind, ("", DIVERGE))
-    raise KindError(f"unknown monad tag {tag!r}")
+    return _trusted(kind, INSTANCES[kind.tag].bottom(kind))
 
 
 def is_bottom(mu: MonadValue) -> bool:
     return mu == bottom(mu.kind)
-
-
-def _check_result(kind: MonadKind, out: MonadValue) -> MonadValue:
-    if not isinstance(out, MonadValue) or out.kind != kind:
-        raise KindError("bind continuation produced a value of another kind")
-    return out
 
 
 def bind(mu: MonadValue, f: Callable[[Any], MonadValue]) -> MonadValue:
@@ -312,44 +759,15 @@ def bind(mu: MonadValue, f: Callable[[Any], MonadValue]) -> MonadValue:
     kind as ``mu``.
     """
     kind = mu.kind
-    tag = kind.tag
-    if tag in ("maybe", "exc"):
-        if isinstance(mu.payload, Present):
-            return _check_result(kind, f(mu.payload.value))
-        return mu
-    if tag == "set":
-        acc = set()
-        for x in mu.payload:
-            acc |= _check_result(kind, f(x)).payload
-        return MonadValue(kind, frozenset(acc))
-    if tag == "dist":
-        acc: dict = {}
-        for x, p in mu.payload.items():
-            out = _check_result(kind, f(x))
-            for y, q in out.payload.items():
-                acc[y] = acc.get(y, Fraction(0)) + p * q
-        return MonadValue(kind, acc)
-    if tag == "state":
-        # f depends only on the carrier element, so share its result
-        # across stores; without this, chains of binds fan out per store
-        cache: dict = {}
-        table = {}
-        for store, cell in mu.payload.items():
-            if isinstance(cell, Present):
-                x, nxt = cell.value
-                if x not in cache:
-                    cache[x] = _check_result(kind, f(x)).payload
-                table[store] = cache[x][nxt]
-            else:
-                table[store] = DIVERGE
-        return MonadValue(kind, table)
-    if tag == "output":
-        w, tail = mu.payload
-        if isinstance(tail, Present):
-            u, tail2 = _check_result(kind, f(tail.value)).payload
-            return MonadValue(kind, (w + u, tail2))
-        return mu
-    raise KindError(f"unknown monad tag {tag!r}")
+    inst = INSTANCES[kind.tag]
+    outs = []
+    for x in inst.returns(mu.payload):
+        out = f(x)
+        if not isinstance(out, MonadValue) or out.kind != kind:
+            raise KindError(
+                "bind continuation produced a value of another kind")
+        outs.append(out.payload)
+    return _trusted(kind, inst.join(mu.payload, outs))
 
 
 def map_carrier(mu: MonadValue, g: Callable[[Any], Any]) -> MonadValue:
@@ -359,90 +777,29 @@ def map_carrier(mu: MonadValue, g: Callable[[Any], Any]) -> MonadValue:
 
 def support(mu: MonadValue) -> list:
     """The smallest carrier subset the value lives over, canonically sorted."""
-    tag = mu.kind.tag
-    if tag in ("maybe", "exc"):
-        if isinstance(mu.payload, Present):
-            return [mu.payload.value]
-        return []
-    if tag == "set":
-        return sorted(mu.payload, key=canonical_key)
-    if tag == "dist":
-        return sorted(mu.payload, key=canonical_key)
-    if tag == "state":
-        seen = set()
-        for cell in mu.payload.values():
-            if isinstance(cell, Present):
-                seen.add(cell.value[0])
-        return sorted(seen, key=canonical_key)
-    if tag == "output":
-        _, tail = mu.payload
-        if isinstance(tail, Present):
-            return [tail.value]
-        return []
-    raise KindError(f"unknown monad tag {tag!r}")
-
-
-def _cell_leq(a, b) -> bool:
-    # Maybe-layer order used inside state tables: DIVERGE below everything,
-    # converged cells only below themselves.
-    if isinstance(a, Diverge):
-        return True
-    return a == b
+    return INSTANCES[mu.kind.tag].support(mu.payload)
 
 
 def leq(a: MonadValue, b: MonadValue) -> bool:
     """The instance order.  Both arguments must share one kind."""
     if a.kind != b.kind:
         raise KindError(f"cannot compare {a.kind.tag} with {b.kind.tag}")
-    tag = a.kind.tag
-    if tag in ("maybe", "exc"):
-        return _cell_leq(a.payload, b.payload)
-    if tag == "set":
-        return a.payload <= b.payload
-    if tag == "dist":
-        return all(p <= b.payload.get(x, Fraction(0))
-                   for x, p in a.payload.items())
-    if tag == "state":
-        return all(_cell_leq(a.payload[s], b.payload[s])
-                   for s in a.payload)
-    if tag == "output":
-        u, ta = a.payload
-        w, tb = b.payload
-        if isinstance(ta, Diverge):
-            return w.startswith(u)
-        return u == w and ta == tb
-    raise KindError(f"unknown monad tag {tag!r}")
+    return INSTANCES[a.kind.tag].leq(a.payload, b.payload)
 
 
 def mass(mu: MonadValue) -> Fraction:
     """Total probability mass of a subdistribution."""
-    if mu.kind.tag != "dist":
+    if not isinstance(INSTANCES[mu.kind.tag], Dist):
         raise KindError("mass() only applies to the dist monad")
     return sum(mu.payload.values(), Fraction(0))
 
 
 def signature(kind: MonadKind) -> tuple[OpDescriptor, ...]:
     """The effect-triggering operations of an instance."""
-    tag = kind.tag
-    if tag == "maybe":
-        return ()
-    if tag == "exc":
-        return tuple(OpDescriptor("raise", 0, kind, e)
-                     for e in kind.exceptions)
-    if tag == "set":
-        return (OpDescriptor("union", 2, kind),)
-    if tag == "dist":
-        return (OpDescriptor("choice", 2, kind),)
-    if tag == "state":
-        reads = [OpDescriptor("read", 2, kind, loc)
-                 for loc in kind.locations]
-        writes = [OpDescriptor("write", 1, kind, (loc, b))
-                  for loc in kind.locations for b in (0, 1)]
-        return tuple(reads + writes)
-    if tag == "output":
-        return tuple(OpDescriptor("print", 1, kind, c)
-                     for c in kind.alphabet)
-    raise KindError(f"unknown monad tag {tag!r}")
+    inst = INSTANCES[kind.tag]
+    return tuple(OpDescriptor(name, arity, kind, index)
+                 for name, (arity, _) in inst.ops.items()
+                 for index in inst.indices(kind, name))
 
 
 def op_apply(desc: OpDescriptor, args: Sequence[MonadValue]) -> MonadValue:
@@ -455,41 +812,5 @@ def op_apply(desc: OpDescriptor, args: Sequence[MonadValue]) -> MonadValue:
         if a.kind != kind:
             raise KindError(
                 f"argument of kind {a.kind.tag} passed to a {kind.tag} op")
-    name = desc.name
-    if name == "raise":
-        if desc.index not in kind.exceptions:
-            raise KindError(f"unknown exception label {desc.index!r}")
-        return MonadValue(kind, Raised(desc.index))
-    if name == "union":
-        return MonadValue(kind, args[0].payload | args[1].payload)
-    if name == "choice":
-        half = Fraction(1, 2)
-        acc: dict = {}
-        for arg in args:
-            for x, p in arg.payload.items():
-                acc[x] = acc.get(x, Fraction(0)) + half * p
-        return MonadValue(kind, acc)
-    if name == "read":
-        loc = desc.index
-        if loc not in kind.locations:
-            raise KindError(f"unknown location {loc!r}")
-        i = kind.locations.index(loc)
-        return MonadValue(
-            kind, {s: args[s[i]].payload[s] for s in stores(kind)})
-    if name == "write":
-        loc, bit = desc.index
-        if loc not in kind.locations or bit not in (0, 1):
-            raise KindError(f"bad write index {desc.index!r}")
-        i = kind.locations.index(loc)
-        table = {}
-        for s in stores(kind):
-            written = s[:i] + (bit,) + s[i + 1:]
-            table[s] = args[0].payload[written]
-        return MonadValue(kind, table)
-    if name == "print":
-        c = desc.index
-        if c not in kind.alphabet:
-            raise KindError(f"character {c!r} not in the alphabet")
-        w, tail = args[0].payload
-        return MonadValue(kind, (c + w, tail))
-    raise KindError(f"unknown operation {name!r}")
+    return _trusted(kind, INSTANCES[kind.tag].apply(
+        kind, desc.name, desc.index, [a.payload for a in args]))

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import serialize
-from .monads import (KindError, MonadKind, MonadValue, Present, Raised,
-                     bottom, canonical_text, leq, map_carrier, support, unit)
+from .monads import (INSTANCES, KindError, MonadKind, MonadValue, bottom, leq,
+                     map_carrier, support, unit)
 
 MAX_ARITY = 64
 
@@ -26,7 +25,7 @@ class ArityCapError(ValueError):
     """A presentation or composition exceeded the configured arity cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenericEffect:
     """The effect part: a monadic value over the index set ``{1, .., n}``."""
 
@@ -49,7 +48,7 @@ class GenericEffect:
         return self.body.kind
 
 
-@dataclass
+@dataclass(frozen=True)
 class Presentation:
     """A generic effect paired with a value row of matching length."""
 
@@ -57,7 +56,7 @@ class Presentation:
     row: tuple
 
     def __post_init__(self):
-        self.row = tuple(self.row)
+        object.__setattr__(self, "row", tuple(self.row))
         if len(self.row) != self.effect.arity:
             raise ValueError(
                 f"row length {len(self.row)} does not match "
@@ -135,42 +134,12 @@ def extend(pres: Presentation, iota: Sequence[int], m: int,
 
 
 def _effect_text(eff: GenericEffect) -> str:
-    body = eff.body
-    kind = eff.kind
+    body, kind = eff.body, eff.kind
     if body == bottom(kind):
         return "⊥"
     if eff.arity == 1 and body == unit(kind, 1):
         return "η"
-    tag = kind.tag
-    if tag in ("maybe", "exc"):
-        payload = body.payload
-        if isinstance(payload, Raised):
-            return f"raise {payload.label}"
-        return f"ret {payload.value}"
-    if tag == "set":
-        return "{" + ",".join(str(i) for i in sorted(body.payload)) + "}"
-    if tag == "dist":
-        probs = [body.payload.get(i, Fraction(0))
-                 for i in range(1, eff.arity + 1)]
-        return ",".join(str(p) for p in probs)
-    if tag == "state":
-        parts = []
-        for store in sorted(body.payload):
-            cell = body.payload[store]
-            bits = "".join(str(b) for b in store)
-            if isinstance(cell, Present):
-                i, nxt = cell.value
-                parts.append(f"{bits}↦({i},{''.join(str(b) for b in nxt)})")
-            else:
-                parts.append(f"{bits}↦↑")
-        return " , ".join(parts)
-    if tag == "output":
-        w, tail = body.payload
-        shown = w if w else "ε"
-        if isinstance(tail, Present):
-            return f"({shown},{tail.value})"
-        return f"({shown},↑)"
-    raise KindError(f"unknown monad tag {tag!r}")
+    return INSTANCES[kind.tag].effect_text(eff.arity, body.payload)
 
 
 def to_obj(pres: Presentation) -> dict:
@@ -200,6 +169,6 @@ def render(pres: Presentation, fmt: str = "text") -> str:
                           separators=(",", ":"))
     if fmt != "text":
         raise ValueError(f"unknown render format {fmt!r}")
-    cells = " ; ".join(f"{i + 1}→{canonical_text(x)}"
+    cells = " ; ".join(f"{i + 1}→{x}"
                        for i, x in enumerate(pres.row))
     return f"[{_effect_text(pres.effect)} ‖ {cells}]"

@@ -5,139 +5,30 @@ in lowest terms (``"1/2"``, ``"1"``); dict-like payloads are emitted in
 canonical carrier order so equal values always serialize identically.
 Carrier elements serialize as JSON numbers (ints) or strings; any other
 element (a syntax tree, say) is flattened to its printed form and comes
-back as a string.
+back as a string.  The per-instance layouts live in ``monads``.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .monads import (DIST, DIVERGE, KindError, MAYBE, MonadValue,
-                     POWERSET, Present, Raised, canonical_key,
-                     canonical_text, exception_kind, output_kind, state_kind)
-
-
-def value_to_obj(x):
-    if isinstance(x, bool):
-        raise KindError("boolean carrier elements are not supported")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        return x
-    return str(x)
-
-
-def value_from_obj(obj):
-    if isinstance(obj, (int, str)):
-        return obj
-    raise KindError(f"bad serialized carrier element: {obj!r}")
-
-
-def _frac_to_str(p: Fraction) -> str:
-    return str(p)
-
-
-def _store_to_str(store) -> str:
-    return "".join(str(b) for b in store)
-
-
-def _store_from_str(text: str, width: int):
-    if len(text) != width or any(c not in "01" for c in text):
-        raise KindError(f"bad serialized store {text!r}")
-    return tuple(int(c) for c in text)
+from .monads import INSTANCES, KindError, MonadValue, instance
+from .monads import value_from_obj, value_to_obj  # noqa: F401 (re-exported)
 
 
 def to_obj(mu: MonadValue) -> dict:
     """Serialize a monad value to a JSON-ready dict."""
-    kind = mu.kind
-    tag = kind.tag
-    if tag == "maybe":
-        if isinstance(mu.payload, Present):
-            return {"kind": tag, "value": value_to_obj(mu.payload.value)}
-        return {"kind": tag, "bottom": True}
-    if tag == "exc":
-        obj = {"kind": tag, "exceptions": list(kind.exceptions)}
-        if isinstance(mu.payload, Present):
-            obj["value"] = value_to_obj(mu.payload.value)
-        elif isinstance(mu.payload, Raised):
-            obj["raised"] = mu.payload.label
-        else:
-            obj["bottom"] = True
-        return obj
-    if tag == "set":
-        elems = sorted(mu.payload, key=canonical_key)
-        return {"kind": tag, "elements": [value_to_obj(x) for x in elems]}
-    if tag == "dist":
-        entries = sorted(mu.payload.items(), key=lambda kv: canonical_key(kv[0]))
-        return {"kind": tag,
-                "entries": [[value_to_obj(x), _frac_to_str(p)]
-                            for x, p in entries]}
-    if tag == "state":
-        table = []
-        for store in sorted(mu.payload):
-            cell = mu.payload[store]
-            if isinstance(cell, Present):
-                x, nxt = cell.value
-                table.append([_store_to_str(store),
-                              [value_to_obj(x), _store_to_str(nxt)]])
-            else:
-                table.append([_store_to_str(store), None])
-        return {"kind": tag, "locations": list(kind.locations),
-                "table": table}
-    if tag == "output":
-        w, tail = mu.payload
-        obj = {"kind": tag, "alphabet": list(kind.alphabet), "out": w}
-        if isinstance(tail, Present):
-            obj["value"] = value_to_obj(tail.value)
-        else:
-            obj["bottom"] = True
-        return obj
-    raise KindError(f"unknown monad tag {tag!r}")
+    inst = INSTANCES[mu.kind.tag]
+    return {**inst.kind_to_obj(mu.kind), **inst.to_obj(mu.payload)}
 
 
 def from_obj(obj: dict) -> MonadValue:
     """Rebuild a monad value from its serialized form."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise KindError(f"bad serialized monad value: {obj!r}")
-    tag = obj["kind"]
-    if tag == "maybe":
-        if obj.get("bottom"):
-            return MonadValue(MAYBE, DIVERGE)
-        return MonadValue(MAYBE, Present(value_from_obj(obj["value"])))
-    if tag == "exc":
-        kind = exception_kind(obj["exceptions"])
-        if obj.get("bottom"):
-            return MonadValue(kind, DIVERGE)
-        if "raised" in obj:
-            return MonadValue(kind, Raised(obj["raised"]))
-        return MonadValue(kind, Present(value_from_obj(obj["value"])))
-    if tag == "set":
-        return MonadValue(
-            POWERSET, frozenset(value_from_obj(x) for x in obj["elements"]))
-    if tag == "dist":
-        return MonadValue(
-            DIST, {value_from_obj(x): Fraction(p)
-                   for x, p in obj["entries"]})
-    if tag == "state":
-        kind = state_kind(obj["locations"])
-        width = len(kind.locations)
-        table = {}
-        for store_s, cell in obj["table"]:
-            store = _store_from_str(store_s, width)
-            if cell is None:
-                table[store] = DIVERGE
-            else:
-                x, nxt = cell
-                table[store] = Present(
-                    (value_from_obj(x), _store_from_str(nxt, width)))
-        return MonadValue(kind, table)
-    if tag == "output":
-        kind = output_kind(obj["alphabet"])
-        tail = Present(value_from_obj(obj["value"])) \
-            if not obj.get("bottom") else DIVERGE
-        return MonadValue(kind, (obj["out"], tail))
-    raise KindError(f"unknown monad tag {tag!r}")
+    inst = instance(obj["kind"])
+    kind = inst.make_kind(obj[inst.param] if inst.param else ())
+    return MonadValue(kind, inst.from_obj(kind, obj))
 
 
 def dumps(mu: MonadValue) -> str:
@@ -150,36 +41,4 @@ def loads(text: str) -> MonadValue:
 
 def render_value(mu: MonadValue) -> str:
     """Human-readable one-line rendering of a monad value."""
-    tag = mu.kind.tag
-    if tag in ("maybe", "exc"):
-        if isinstance(mu.payload, Present):
-            return canonical_text(mu.payload.value)
-        if isinstance(mu.payload, Raised):
-            return f"raise {mu.payload.label}"
-        return "↑"
-    if tag == "set":
-        elems = sorted(mu.payload, key=canonical_key)
-        if not elems:
-            return "∅"
-        return "{" + ", ".join(canonical_text(x) for x in elems) + "}"
-    if tag == "dist":
-        entries = sorted(mu.payload.items(), key=lambda kv: canonical_key(kv[0]))
-        return "{" + ", ".join(f"{canonical_text(x)}: {p}"
-                               for x, p in entries) + "}"
-    if tag == "state":
-        parts = []
-        for store in sorted(mu.payload):
-            cell = mu.payload[store]
-            if isinstance(cell, Present):
-                x, nxt = cell.value
-                parts.append(f"{_store_to_str(store)} ↦ "
-                             f"({canonical_text(x)}, {_store_to_str(nxt)})")
-            else:
-                parts.append(f"{_store_to_str(store)} ↦ ↑")
-        return "{" + ", ".join(parts) + "}"
-    if tag == "output":
-        w, tail = mu.payload
-        if isinstance(tail, Present):
-            return f'("{w}", {canonical_text(tail.value)})'
-        return f'("{w}", ↑)'
-    raise KindError(f"unknown monad tag {tag!r}")
+    return INSTANCES[mu.kind.tag].render(mu.payload)

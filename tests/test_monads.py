@@ -352,3 +352,95 @@ class TestValidation:
             ed.state_kind(tuple("abcde"))
         with pytest.raises(ed.KindError):
             ed.output_kind(("ab",))
+
+
+class TestDescriptorValidation:
+    @pytest.mark.parametrize("name, arity, kind, index", [
+        ("union", 2, ed.DIST, None),
+        ("union", 3, ed.POWERSET, None),
+        ("choice", 2, ed.DIST, "a"),
+        ("raise", 0, EXC, "nope"),
+        ("raise", 1, EXC, "err"),
+        ("read", 2, STATE, "l9"),
+        ("write", 1, STATE, ("l0", 2)),
+        ("write", 1, STATE, "l0"),
+        ("print", 1, OUTPUT, "z"),
+        ("print", 1, ed.MAYBE, "a"),
+    ])
+    def test_outside_signature_rejected(self, name, arity, kind, index):
+        with pytest.raises(ed.KindError):
+            ed.OpDescriptor(name, arity, kind, index)
+
+    def test_signature_descriptors_accepted(self):
+        for kind in ALL_KINDS:
+            for desc in ed.signature(kind):
+                assert ed.OpDescriptor(
+                    desc.name, desc.arity, kind, desc.index) == desc
+
+    @pytest.mark.parametrize("src, kind, message", [
+        ("choice(v, w)", ed.MAYBE,
+         "operation 'choice' is not in the maybe signature"),
+        ("print[z](v)", OUTPUT, "character 'z' not in the alphabet"),
+        ("raise[nope]()", EXC, "unknown exception label 'nope'"),
+        ("read[l9](v, w)", STATE, "unknown location 'l9'"),
+        ("write[l9,1](v)", STATE, "unknown location 'l9'"),
+    ])
+    def test_parser_raises_signature_error(self, src, kind, message):
+        with pytest.raises(ed.SignatureError) as err:
+            ed.parse(src, kind=kind)
+        assert str(err.value) == message
+
+    def test_rebinding_at_evaluation_raises_signature_error(self):
+        term = ed.parse("read[l2](v, w)")
+        with pytest.raises(ed.SignatureError) as err:
+            ed.evaluate(term, STATE, 5)
+        assert str(err.value) == "unknown location 'l2'"
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("kind, payload", [
+        (ed.state_kind(["l"]), {(0,): ed.Present(5), (1,): ed.DIVERGE}),
+        (ed.POWERSET, 3),
+        (ed.POWERSET, [["unhashable"]]),
+        (ed.DIST, {"a": "x"}),
+        (ed.DIST, {"a": None}),
+        (ed.DIST, {"a": float("inf")}),
+        (ed.DIST, [1, 2]),
+        (ed.MAYBE, "v"),
+        (EXC, ed.Raised("nope")),
+        (STATE, 7),
+        (OUTPUT, 3),
+        (OUTPUT, ("abc",)),
+        (OUTPUT, ("a", "v")),
+    ])
+    def test_only_kind_error(self, kind, payload):
+        with pytest.raises(ed.KindError):
+            ed.MonadValue(kind, payload)
+
+
+@st.composite
+def _trusted_results(draw):
+    kind = draw(kinds())
+    mu = draw(values_for(kind))
+    table = draw(kleisli_for(kind))
+    f = table.__getitem__
+    outs = [ed.unit(kind, draw(st.sampled_from(CARRIER))), ed.bottom(kind),
+            ed.bind(mu, f), ed.bind(ed.bind(mu, f), f),
+            ed.map_carrier(mu, str.upper)]
+    for desc in ed.signature(kind):
+        args = [draw(values_for(kind)) for _ in range(desc.arity)]
+        outs.append(ed.op_apply(desc, args))
+    return outs
+
+
+class TestTrustedPath:
+    @given(_trusted_results())
+    @settings(max_examples=60)
+    def test_results_are_canonical(self, outs):
+        # set == frozenset, so compare types (and reprs, which also show
+        # element types and dict order) besides plain equality
+        for out in outs:
+            canon = ed.monads._normalise(out.kind, out.payload)
+            assert canon == out.payload
+            assert type(canon) is type(out.payload)
+            assert repr(canon) == repr(out.payload)

@@ -1,5 +1,6 @@
 """Presentations: interpret, decompose, equality, order, extension, render."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -247,3 +248,20 @@ class TestGenericEffectInvariants:
     def test_row_length_checked(self):
         with pytest.raises(ValueError):
             ed.Presentation(ed.trivial_effect(ed.DIST), ("x", "y"))
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: ed.trivial_effect(ed.MAYBE), "arity", 5),
+        (lambda: pres(ed.trivial_effect(ed.MAYBE), "a"), "row", ("b", "c")),
+        (lambda: ed.effect_to_op(ed.trivial_effect(ed.DIST)), "arity", 2),
+        (lambda: ed.check_commutative(ed.MAYBE, trials=1), "passed", False),
+        (lambda: ed.run_law_suite(ed.LawSuiteConfig(
+            trials=1, laws=("unit",), monads=(ed.MAYBE,))).results[0],
+         "passed", False),
+    ], ids=["GenericEffect", "Presentation", "DerivedOperation",
+            "CheckReport", "LawResult"])
+    def test_assignment_raises(self, make, field, value):
+        obj = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, value)
