@@ -5,9 +5,13 @@ monadic value, ``diagram`` prints its effect/value presentation,
 ``compose`` plugs machine-format presentation files together, and
 ``laws`` runs the executable law suite.
 
-Programs are given literally or as ``@path``.  Exit codes: 2 for a
-syntax error, 3 for an operation that does not fit the chosen monad,
-4 for a composition arity mismatch, 1 for unmet law expectations.
+Programs are given literally or as ``@path``.  Exit codes: 0 on
+success; 1 for unmet law expectations, a stuck evaluation, an arity
+above the cap or an unreadable file; 2 for a syntax error or bad
+command-line arguments; 3 for an operation that does not fit the chosen
+monad or malformed machine JSON; 4 for a composition arity mismatch;
+5 when the input or its evaluation nests too deeply for the recursion
+limit.  Each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -180,6 +184,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: recursion limit reached: the program is nested "
+              "too deeply, or its evaluation is at this fuel",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -17,6 +17,15 @@ of the chosen instance.  Results are therefore monotone in fuel and
 approximate the least semantics from below.  Free variables evaluate to
 themselves as inert symbols; only applying one is an error.
 
+An abstraction whose parameter does not occur in its body, such as the
+``\_. f`` that ``e ; f`` stands for, gives the same result for every
+value it is applied to, so its body is evaluated once per bind, on the
+first value, and that result is shared by the others: an n-fold ``;``
+chain costs n beta steps, not 2^(n+1) - 2.  Fuel is still charged per
+path, because the shared result was computed with the fuel that path
+has left.  Applying a syntactic value skips ``bind(unit(f), ...)`` by
+the monad left-unit law.
+
 Operation arguments and applications evaluate left to right.  Note the
 evaluation order inside an operation is a choice this module makes; for
 the non-commutative instances (exceptions, state, output) reordering
@@ -25,7 +34,7 @@ arguments can change the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .algebra import seq_compose
@@ -51,7 +60,11 @@ class EvalError(ValueError):
 
 
 class Term:
-    """Base class for syntax nodes."""
+    """Base class for syntax nodes.
+
+    Every node carries ``_fv``, its set of free variables, computed once
+    when it is built; it takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     __slots__ = ()
 
@@ -59,6 +72,10 @@ class Term:
 @dataclass(frozen=True)
 class Var(Term):
     name: str
+    _fv: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_fv", frozenset((self.name,)))
 
     def __str__(self):
         return self.name
@@ -68,6 +85,11 @@ class Var(Term):
 class Abs(Term):
     param: str
     body: Term
+    _fv: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_fv",
+                           free_vars(self.body) - {self.param})
 
     def __str__(self):
         return f"\\{self.param}. {self.body}"
@@ -77,6 +99,11 @@ class Abs(Term):
 class App(Term):
     fn: Term
     arg: Term
+    _fv: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_fv",
+                           free_vars(self.fn) | free_vars(self.arg))
 
     def __str__(self):
         fn = f"({self.fn})" if isinstance(self.fn, Abs) else str(self.fn)
@@ -89,6 +116,7 @@ class App(Term):
 class Op(Term):
     op: OpDescriptor
     args: tuple
+    _fv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
@@ -96,6 +124,8 @@ class Op(Term):
             raise ParseError(
                 f"{self.op.name} expects {self.op.arity} arguments, "
                 f"got {len(self.args)}", 0)
+        object.__setattr__(self, "_fv", frozenset().union(
+            *map(free_vars, self.args)))
 
     def __str__(self):
         name = self.op.name
@@ -111,18 +141,9 @@ def is_value(term: Term) -> bool:
 
 
 def free_vars(term: Term) -> frozenset:
-    if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, Abs):
-        return free_vars(term.body) - {term.param}
-    if isinstance(term, App):
-        return free_vars(term.fn) | free_vars(term.arg)
-    if isinstance(term, Op):
-        out = frozenset()
-        for a in term.args:
-            out |= free_vars(a)
-        return out
-    raise TypeError(f"not a term: {term!r}")
+    if not isinstance(term, Term):
+        raise TypeError(f"not a term: {term!r}")
+    return term._fv
 
 
 def is_closed(term: Term) -> bool:
@@ -140,28 +161,30 @@ def substitute(term: Term, name: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of ``replacement`` for free ``name``.
 
     Bound variables that would capture a free variable of the
-    replacement are renamed first.
+    replacement are renamed first.  Subterms in which ``name`` is not
+    free are returned as they are, not copied.
     """
     fv_repl = free_vars(replacement)
 
     def go(t: Term) -> Term:
+        if name not in t._fv:
+            return t
         if isinstance(t, Var):
-            return replacement if t.name == name else t
+            return replacement
         if isinstance(t, Abs):
-            if t.param == name:
-                return t
-            if t.param in fv_repl and name in free_vars(t.body):
-                taken = fv_repl | free_vars(t.body) | {name}
+            # name is free in t, so it is not t.param and is free in the body
+            if t.param in fv_repl:
+                taken = fv_repl | t.body._fv | {name}
                 fresh = _fresh(t.param, taken)
                 renamed = substitute(t.body, t.param, Var(fresh))
                 return Abs(fresh, go(renamed))
             return Abs(t.param, go(t.body))
         if isinstance(t, App):
             return App(go(t.fn), go(t.arg))
-        if isinstance(t, Op):
-            return Op(t.op, tuple(go(a) for a in t.args))
-        raise TypeError(f"not a term: {t!r}")
+        return Op(t.op, tuple(go(a) for a in t.args))
 
+    if name not in free_vars(term):
+        return term
     return go(term)
 
 
@@ -265,8 +288,8 @@ class _Parser:
         if self.at(";"):
             self.next()
             right = self.parse_seq()
-            ignored = "_" if "_" not in free_vars(right) \
-                else _fresh("_", free_vars(right))
+            taken = free_vars(right)
+            ignored = "_" if "_" not in taken else _fresh("_", taken)
             return App(Abs(ignored, right), left)
         return left
 
@@ -345,10 +368,8 @@ def parse(src: str, kind: Optional[MonadKind] = None,
     identifiers named in ``defs`` are replaced by their definitions.
     """
     term = _Parser(src, kind).parse_program()
-    if defs:
-        for name, repl in defs.items():
-            if name in free_vars(term):
-                term = substitute(term, name, repl)
+    for name, repl in (defs or {}).items():
+        term = substitute(term, name, repl)
     return term
 
 
@@ -369,14 +390,37 @@ def _eval(t: Term, kind: MonadKind, fuel: int):
     if isinstance(t, (Var, Abs)):
         return unit(kind, t)
     if isinstance(t, App):
+        if is_value(t.fn):
+            # bind(unit(f), k) == k(f) by the left-unit law
+            return bind(_eval(t.arg, kind, fuel),
+                        _applying(t.fn, kind, fuel))
         mf = _eval(t.fn, kind, fuel)
         ma = _eval(t.arg, kind, fuel)
-        return bind(mf, lambda vf: bind(
-            ma, lambda va: _beta(vf, va, kind, fuel)))
+        return bind(mf, lambda vf: bind(ma, _applying(vf, kind, fuel)))
     if isinstance(t, Op):
         desc = resolve_op(t.op, kind)
         return op_apply(desc, [_eval(a, kind, fuel) for a in t.args])
     raise EvalError(f"not a term: {t!r}")
+
+
+def _applying(vf: Term, kind: MonadKind, fuel: int):
+    """The bind continuation that applies ``vf`` to each value it gets.
+
+    When ``vf`` ignores its argument every value gives the same result,
+    so the beta step is taken on the first value only and its result is
+    returned for the rest.  Nothing runs before the first value, so a
+    bind with no values still never evaluates the body.
+    """
+    if not (isinstance(vf, Abs) and vf.param not in vf.body._fv):
+        return lambda va: _beta(vf, va, kind, fuel)
+    shared = []
+
+    def ignoring(va):
+        if not shared:
+            shared.append(_beta(vf, va, kind, fuel))
+        return shared[0]
+
+    return ignoring
 
 
 def _beta(vf: Term, va: Term, kind: MonadKind, fuel: int):

@@ -149,12 +149,25 @@ def to_obj(pres: Presentation) -> dict:
 
 
 def from_obj(obj: dict) -> Presentation:
+    """Rebuild a presentation from its machine form.
+
+    Malformed input raises ``KindError``, naming a missing key; an arity
+    above the cap raises ``ArityCapError``.
+    """
     if not isinstance(obj, dict) or "effect" not in obj or "row" not in obj:
         raise KindError(f"bad serialized presentation: {obj!r}")
-    eff = obj["effect"]
-    effect = GenericEffect(eff["arity"], serialize.from_obj(eff["body"]))
-    return Presentation(
-        effect, tuple(serialize.value_from_obj(x) for x in obj["row"]))
+    if not isinstance(obj["row"], list):
+        raise KindError(
+            f"bad serialized presentation: row {obj['row']!r} is not a list")
+    try:
+        eff = obj["effect"]
+        effect = GenericEffect(eff["arity"], serialize.from_obj(eff["body"]))
+        return Presentation(
+            effect, tuple(serialize.value_from_obj(x) for x in obj["row"]))
+    except (KindError, ArityCapError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise serialize.malformed("presentation", exc) from None
 
 
 def render(pres: Presentation, fmt: str = "text") -> str:

@@ -22,13 +22,29 @@ def to_obj(mu: MonadValue) -> dict:
     return {**inst.kind_to_obj(mu.kind), **inst.to_obj(mu.payload)}
 
 
+def malformed(what: str, exc: Exception) -> KindError:
+    """The error for a serialized ``what`` that ``exc`` was raised on."""
+    reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) \
+        else str(exc)
+    return KindError(f"bad serialized {what}: {reason}")
+
+
 def from_obj(obj: dict) -> MonadValue:
-    """Rebuild a monad value from its serialized form."""
+    """Rebuild a monad value from its serialized form.
+
+    Malformed input raises ``KindError``, naming a missing key.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise KindError(f"bad serialized monad value: {obj!r}")
     inst = instance(obj["kind"])
-    kind = inst.make_kind(obj[inst.param] if inst.param else ())
-    return MonadValue(kind, inst.from_obj(kind, obj))
+    try:
+        kind = inst.make_kind(obj[inst.param] if inst.param else ())
+        payload = inst.from_obj(kind, obj)
+    except KindError:
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise malformed(f"{inst.tag} value", exc) from None
+    return MonadValue(kind, payload)
 
 
 def dumps(mu: MonadValue) -> str:

@@ -1,10 +1,12 @@
-"""Hypothesis strategies for monad values shared across test modules."""
+"""Hypothesis strategies for monad values and programs shared across test
+modules."""
 
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
 import effectdiagrams as ed
+from effectdiagrams.lang import Abs, App, Op, Var
 
 CARRIER = ("a", "b", "c")
 EXC = ed.exception_kind(("err", "crash"))
@@ -102,3 +104,55 @@ def kind_and_value():
 def kind_value_and_kleisli():
     return kinds().flatmap(
         lambda k: st.tuples(st.just(k), values_for(k), kleisli_for(k)))
+
+
+# binders of generated programs; "a" is also an inert symbol, so some
+# substitutions must rename a bound "a" to avoid capturing a free one
+BINDERS = ("x", "y", "a")
+SYMBOLS = ("a", "b")
+OMEGA = ed.default_defs()["OMEGA"]
+
+
+@st.composite
+def _program(draw, ops, scope, depth, form=None):
+    """``scope`` lists the names in scope, innermost binder last; a
+    ``form`` fixes the outermost constructor."""
+    forms = ["var"] * 7 + ["omega"]
+    if depth:
+        forms += ["abs", "app", "seq"] + ["let"] * 2 + ["op"] * 3 * bool(ops)
+    form = form or draw(st.sampled_from(forms))
+    if form == "var":
+        names = sorted(set(scope) | set(SYMBOLS))
+        # half of the variables name the innermost binder
+        return Var(draw(st.sampled_from(names + [*scope[-1:]] * len(names))))
+    if form == "omega":
+        return OMEGA
+    if form in ("abs", "let"):
+        name = draw(st.sampled_from(BINDERS))
+        fn = Abs(name, draw(_program(ops, scope + (name,), depth - 1)))
+        if form == "abs":
+            return fn
+        # (\name. body) arg: half the time arg is an operation, so the
+        # body may run once per value it returns
+        bound = "op" if ops and depth > 1 and draw(st.booleans()) else None
+        return App(fn, draw(_program(ops, scope, depth - 1, bound)))
+    if form == "op":
+        desc = draw(st.sampled_from(ops))
+        return Op(desc, tuple(draw(_program(ops, scope, depth - 1))
+                              for _ in range(desc.arity)))
+    first = draw(_program(ops, scope, depth - 1))
+    second = draw(_program(ops, scope, depth - 1))
+    if form == "seq":
+        # what the parser makes of "first ; second"
+        return App(Abs("_", second), first)
+    return App(first, second)
+
+
+def programs(kind, depth=4, free=()):
+    """Programs whose only free variables are the inert symbols and
+    the names in ``free``.
+
+    They use abstraction, application, ``;``, a divergent ``OMEGA`` and
+    every operation of ``kind`` with each index valid under it.
+    """
+    return _program(ed.signature(kind), tuple(free), depth)

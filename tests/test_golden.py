@@ -1,9 +1,9 @@
 """Golden lock on the command line: exact stdout, exit codes and error text.
 
 Each case runs ``effdiag`` in-process and compares the whole of stdout and
-the exit code with a literal; cases that exit with 2, 3 or 4 also compare
-stderr.  ``{dir}`` in an argument stands for a temporary directory holding
-the presentation files in ``FILES``.
+the exit code with a literal; cases that exit with 2, 3, 4 or 5 also
+compare stderr.  ``{dir}`` in an argument stands for a temporary directory
+holding the presentation files in ``FILES``.
 """
 
 import pytest
@@ -20,7 +20,23 @@ FILES = {
     'right.json':
         ('{"effect":{"arity":1,"body":{"kind":"dist","entries":[[1,"1"'
          ']]}},"row":["c"]}\n'),
+    'no-arity.json':
+        '{"effect":{"body":{"kind":"dist","entries":[[1,"1"]]}},"row":["c"]}\n',
+    'no-entries.json':
+        '{"effect":{"arity":1,"body":{"kind":"dist"}},"row":["c"]}\n',
+    'no-table.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":["l0"]}'
+         '},"row":["c"]}\n'),
+    'no-locations.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","table":[["0",[1,"'
+         '0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
+    'row-not-list.json':
+        ('{"effect":{"arity":1,"body":{"kind":"dist","entries":[[1,"1"'
+         ']]}},"row":"c"}\n'),
 }
+
+TOO_DEEP = ('error: recursion limit reached: the program is nested too '
+            'deeply, or its evaluation is at this fuel\n')
 
 CASES = [
     (['eval', '-m', 'maybe', '-f', '5', '(\\x. x) v'],
@@ -411,6 +427,32 @@ CASES = [
       '{"kind": "output", "alphabet": ["a", "b"], "out": "ba", "val'
       'ue": "x11"}}}]}\n'),
      None),
+    (['compose', '{dir}/no-arity.json'],
+     3, '',
+     "signature error: bad serialized presentation: missing key 'arity'\n"),
+    (['compose', '{dir}/outer.json', '{dir}/no-entries.json',
+      '{dir}/right.json'],
+     3, '',
+     "signature error: bad serialized dist value: missing key 'entries'\n"),
+    (['compose', '{dir}/no-table.json'],
+     3, '',
+     "signature error: bad serialized state value: missing key 'table'\n"),
+    (['compose', '{dir}/no-locations.json'],
+     3, '',
+     ("signature error: bad serialized state value: missing key 'locat"
+      "ions'\n")),
+    (['compose', '{dir}/row-not-list.json'],
+     3, '',
+     "signature error: bad serialized presentation: row 'c' is not a list\n"),
+    (['eval', '-m', 'maybe', '-f', '300', 'OMEGA'],
+     5, '',
+     TOO_DEEP),
+    (['eval', '-m', 'maybe', ' ; '.join(['v'] * 3000)],
+     5, '',
+     TOO_DEEP),
+    (['eval', '-m', 'maybe', '(' * 5000 + 'v' + ')' * 5000],
+     5, '',
+     TOO_DEEP),
 ]
 
 

@@ -4,11 +4,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effectdiagrams as ed
+from effectdiagrams import lang, serialize
 from effectdiagrams.lang import Abs, App, Op, Var
 
-from strategies import ALL_KINDS, EXC, OUTPUT, STATE
+import reference_eval
+from strategies import ALL_KINDS, BINDERS, EXC, OUTPUT, STATE, programs
 
 DEFS = ed.default_defs()
 
@@ -330,3 +334,90 @@ class TestPrelude:
         got = ed.evaluate(
             ed.parse("twice id v", defs={**DEFS, **defs}), ed.MAYBE, 10)
         assert got == ed.unit(ed.MAYBE, Var("v"))
+
+
+def _outcome(evaluate, term, kind, fuel):
+    try:
+        mu = evaluate(term, kind, fuel)
+    except ed.EvalError as exc:
+        return "stuck", str(exc)
+    return mu, serialize.render_value(mu)
+
+
+class TestAgainstReference:
+    """``evaluate`` against the evaluator that shares nothing."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), fuel=st.integers(0, 8))
+    def test_same_value_and_text(self, kind, data, fuel):
+        term = data.draw(programs(kind))
+        assert _outcome(ed.evaluate, term, kind, fuel) == \
+            _outcome(reference_eval.evaluate, term, kind, fuel)
+
+    @settings(max_examples=300)
+    @given(term=programs(STATE, free=BINDERS),
+           name=st.sampled_from(BINDERS),
+           replacement=programs(STATE, depth=2, free=BINDERS))
+    def test_substitute_on_open_terms(self, term, name, replacement):
+        assert ed.substitute(term, name, replacement) == \
+            reference_eval.substitute(term, name, replacement)
+
+
+def _chain(op, n):
+    return " ; ".join([f"{op}(a, b)"] * n + ["v"])
+
+
+class TestSharing:
+    @pytest.mark.parametrize("n", (4, 8, 16))
+    @pytest.mark.parametrize("op, kind, want", [
+        ("choice", ed.DIST, {Var("v"): 1}),
+        ("union", ed.POWERSET, {Var("v")}),
+    ], ids=("choice", "union"))
+    def test_chain_takes_n_beta_steps(self, monkeypatch, n, op, kind, want):
+        term = ed.parse(_chain(op, n), kind=kind)
+        steps = []
+        real = lang.substitute
+
+        def counting(*args):
+            steps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lang, "substitute", counting)
+        assert ed.evaluate(term, kind, n) == ed.MonadValue(kind, want)
+        assert len(steps) == n
+        # each path still needs all n steps: one unit less starves it
+        assert ed.evaluate(term, kind, n - 1) == ed.bottom(kind)
+
+    def test_body_not_run_without_a_value(self):
+        # the ignored argument diverges, so the stuck body is never reached
+        assert ev("(\\_. x x) OMEGA", ed.MAYBE, fuel=5) == \
+            ed.bottom(ed.MAYBE)
+        assert ev("raise[err]() ; x x", EXC) == \
+            ed.MonadValue(EXC, ed.Raised("err"))
+        with pytest.raises(ed.EvalError):
+            ev("union(a, b) ; x x", ed.POWERSET)
+
+    def test_substitute_returns_terms_without_the_name(self):
+        term = ed.parse("(\\y. f (g y)) (\\x. x)")
+        assert ed.substitute(term, "x", Var("z")) is term
+        assert ed.substitute(term, "y", Var("z")) is term
+        got = ed.substitute(term, "f", Var("z"))
+        assert got.arg is term.arg
+        assert got.fn.body.arg is term.fn.body.arg
+
+    def test_cache_is_not_part_of_equality(self):
+        samples = {
+            Var("x"): "Var(name='x')",
+            Abs("x", Var("y")): "Abs(param='x', body=Var(name='y'))",
+            App(Var("f"), Var("y")):
+                "App(fn=Var(name='f'), arg=Var(name='y'))",
+        }
+        op = ed.parse("union(x, y)")
+        samples[op] = f"Op(op={op.op!r}, args=(Var(name='x'), Var(name='y')))"
+        for term, text in samples.items():
+            twin = ed.parse(str(term))
+            object.__setattr__(twin, "_fv", frozenset({"unrelated"}))
+            assert repr(term) == repr(twin) == text
+            assert term == twin and hash(term) == hash(twin)
+            assert ed.free_vars(twin) == {"unrelated"}

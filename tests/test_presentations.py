@@ -6,10 +6,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effectdiagrams as ed
-from effectdiagrams import gen, presentations
+from effectdiagrams import gen, monads, presentations
 
 from strategies import ALL_KINDS, CARRIER, kind_and_value
 
@@ -265,3 +266,63 @@ class TestImmutability:
         obj = make()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, value)
+
+
+# the keys and strings of the machine format, so that arbitrary JSON
+# often gets past the first checks
+FORMAT_WORDS = ("effect", "row", "arity", "body", "kind", "elements",
+                "entries", "table", "value", "raised", "bottom", "out",
+                *monads.KNOWN_TAGS, "exceptions", "locations", "alphabet",
+                "err", "l0", "a", "0", "01", "1/2", "1", "-1/2", "1/0")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats()
+    | st.sampled_from(FORMAT_WORDS) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FORMAT_WORDS) | st.text(max_size=2), inner,
+        max_size=5),
+    max_leaves=20)
+
+
+@st.composite
+def mutated_presentations(draw):
+    """The machine form of a valid presentation with one part replaced
+    by arbitrary JSON or removed."""
+    kind, mu = draw(kind_and_value())
+    obj = json.loads(ed.render(ed.decompose(mu), "machine"))
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node and \
+            draw(st.booleans()):
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        node = node[key]
+    if parent is None:
+        return draw(json_values)
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return obj
+
+
+class TestMalformedJson:
+    """Any JSON given to ``from_obj`` gives a presentation or a KindError
+    (an ArityCapError above the arity cap), never another exception."""
+
+    @staticmethod
+    def load(obj):
+        try:
+            presentations.from_obj(obj)
+        except (ed.KindError, ed.ArityCapError):
+            pass
+
+    @settings(max_examples=300)
+    @given(json_values)
+    def test_arbitrary_json(self, obj):
+        self.load(obj)
+
+    @settings(max_examples=300)
+    @given(mutated_presentations())
+    def test_one_part_broken(self, obj):
+        self.load(obj)
