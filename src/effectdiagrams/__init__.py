@@ -16,8 +16,7 @@ from .monads import (ArityError, DIST, DIVERGE, Diverge, KindError, MAYBE,
 from .presentations import (ArityCapError, GenericEffect, MAX_ARITY,
                             Presentation, decompose, diagram_eq, diagram_leq,
                             extend, interpret, render)
-from .algebra import (CheckReport, DerivedOperation, basic_effects,
-                      bottom_effect, check_algebraic, check_commutative,
+from .algebra import (DerivedOperation, basic_effects, bottom_effect,
                       descriptor_op, effect_to_op, op_to_effect, seq_compose,
                       trivial_effect)
 from .lang import (Abs, App, DEFAULT_PRELUDE, EvalError, Op, ParseError,
@@ -25,13 +24,13 @@ from .lang import (Abs, App, DEFAULT_PRELUDE, EvalError, Op, ParseError,
                    eval_monadic_term, evaluate, free_vars, is_closed,
                    is_value, parse, parse_defs, substitute)
 from .lawcheck import (ALL_LAWS, EXPECTED_FAIL, LawResult, LawSuiteConfig,
-                       SuiteReport, default_kinds, expected_pass, replay,
-                       run_law_suite)
+                       SuiteReport, check_algebraic, check_commutative,
+                       default_kinds, expected_pass, replay, run_law_suite)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_LAWS", "Abs", "App", "ArityCapError", "ArityError", "CheckReport",
+    "ALL_LAWS", "Abs", "App", "ArityCapError", "ArityError",
     "DEFAULT_PRELUDE", "DIST", "DIVERGE", "DerivedOperation", "Diverge",
     "EXPECTED_FAIL", "EvalError", "GenericEffect", "KindError",
     "LawResult", "LawSuiteConfig", "MAX_ARITY", "MAYBE", "MonadKind",

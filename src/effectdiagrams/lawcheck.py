@@ -1,11 +1,19 @@
-"""A seeded, configurable engine running every calculus law as a property.
+"""The law engine: a seeded search for violations of every calculus law.
+
+Every law runs through one search loop, ``_search``: a violation
+predicate is tried on a deterministic prefix of cases, then on seeded
+random ones, and the search stops at the first violation.  A witness
+from the prefix is reported as found; a random one is shrunk by the
+law's shrinker.  Each search yields a ``LawResult``, the one report
+type, whether it ran as a cell of ``run_law_suite`` or through the
+public checkers ``check_algebraic`` and ``check_commutative``.
 
 Each (law, monad) cell draws its own generator from the suite seed, so
 reports are reproducible and independent of execution order.  Two laws
 are expected to fail by design and ship in ``EXPECTED_FAIL``: the
 exchange law and right bottom absorption do not hold for every instance
 (raising an exception and printing both survive a later divergence, and
-the order of two raises or two prints is observable).
+the order of two raises, two prints or two store updates is observable).
 """
 
 from __future__ import annotations
@@ -13,18 +21,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from . import gen
-from .algebra import (_describe, algebraic_violation, basic_effects,
-                      bottom_effect, check_commutative, descriptor_op,
-                      effect_to_op, exchange_violation, seq_compose,
-                      trivial_effect)
-from .monads import (DIST, MAYBE, MonadKind, POWERSET, bind, bottom,
-                     exception_kind, leq, map_carrier, output_kind, signature,
-                     state_kind, support, unit)
-from .presentations import (Presentation, decompose, diagram_eq, extend,
-                            interpret)
+from . import gen, serialize
+from .algebra import (DerivedOperation, algebraic_violation, basic_effects,
+                      bottom_effect, descriptor_op, effect_to_op,
+                      exchange_violation, seq_compose, trivial_effect)
+from .monads import (DIST, MAYBE, MonadKind, MonadValue, POWERSET, bind,
+                     bottom, exception_kind, leq, map_carrier, output_kind,
+                     signature, state_kind, support, unit)
+from .presentations import (GenericEffect, Presentation, decompose,
+                            diagram_eq, extend, interpret)
 
 ALL_LAWS = ("kleisli", "algebraicity", "unit", "associativity",
             "composition", "binding", "congruence", "monotonicity",
@@ -41,7 +48,11 @@ def default_kinds() -> tuple[MonadKind, ...]:
             state_kind(("l0", "l1")), output_kind(("a", "b")))
 
 
-@dataclass
+def expected_pass(law: str, kind: MonadKind) -> bool:
+    return kind.tag not in EXPECTED_FAIL.get(law, frozenset())
+
+
+@dataclass(frozen=True)
 class LawSuiteConfig:
     seed: int = 1
     trials: int = 50
@@ -62,13 +73,18 @@ class LawSuiteConfig:
 
 @dataclass(frozen=True)
 class LawResult:
+    """Outcome of searching one law on one instance."""
+
     law: str
     monad: MonadKind
     passed: bool
     trials: int
     seed: int
-    expected_pass: bool
     counterexample: Optional[dict] = None
+
+    @property
+    def expected_pass(self) -> bool:
+        return expected_pass(self.law, self.monad)
 
     @property
     def as_expected(self) -> bool:
@@ -83,7 +99,21 @@ class LawResult:
         return obj
 
 
-@dataclass
+def _describe(v) -> Any:
+    if isinstance(v, MonadValue):
+        return serialize.to_obj(v)
+    if isinstance(v, GenericEffect):
+        return {"arity": v.arity, "body": serialize.to_obj(v.body)}
+    if isinstance(v, dict):
+        return {str(k): _describe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_describe(x) for x in v]
+    if isinstance(v, (int, str, bool)) or v is None:
+        return v
+    return str(v)
+
+
+@dataclass(frozen=True)
 class SuiteReport:
     seed: int
     results: list
@@ -97,29 +127,176 @@ class SuiteReport:
                 "results": [r.to_obj() for r in self.results]}
 
 
+def _search(violation: Callable[..., Optional[dict]], fixed: Iterable[tuple],
+            randoms: Iterable[tuple],
+            shrink: Optional[Callable[..., Iterable[tuple]]] = None) \
+        -> tuple[bool, int, Optional[dict]]:
+    """Try cases until one violates; return (passed, trials, witness).
+
+    A case is the argument tuple of ``violation``, which returns a
+    witness dict or None when the law holds.  A witness from the
+    deterministic ``fixed`` cases is already minimal and is reported as
+    found.  A witness from ``randoms`` is shrunk greedily: the first of
+    ``shrink(*case)`` that still violates replaces the case, until none
+    does.
+    """
+    trials = 0
+    for cases, shrinks in ((fixed, None), (randoms, shrink)):
+        for case in cases:
+            trials += 1
+            witness = violation(*case)
+            if witness is None:
+                continue
+            while shrinks is not None:
+                for smaller in shrinks(*case):
+                    found = violation(*smaller)
+                    if found is not None:
+                        case, witness = smaller, found
+                        break
+                else:
+                    break
+            return False, trials, witness
+    return True, trials, None
+
+
+def _value_shrinks(mu: MonadValue):
+    """Smaller candidates for a monadic value: bottom first, then units."""
+    yield bottom(mu.kind)
+    for x in support(mu)[:2]:
+        yield unit(mu.kind, x)
+
+
+def _algebraic_case(op: DerivedOperation, rng: random.Random,
+                    domain, codomain) -> tuple:
+    args = [gen.random_value(op.kind, rng, domain) for _ in range(op.arity)]
+    _, table = gen.random_kleisli(op.kind, rng, domain, codomain)
+    return op, args, table
+
+
+def _algebraic_shrinks(op: DerivedOperation, args, table: dict):
+    """The case with one argument replaced by a smaller value."""
+    for i, arg in enumerate(args):
+        for candidate in _value_shrinks(arg):
+            if candidate != arg:
+                yield op, [*args[:i], candidate, *args[i + 1:]], table
+
+
+def check_algebraic(op: DerivedOperation, trials: int = 100,
+                    carrier_size: int = 3, seed: int = 0) -> LawResult:
+    """Search for a violation of bind distributing over the operation.
+
+    Flat instances are checked exhaustively over small carriers; the
+    rest get seeded random trials.  A failure report carries the
+    arguments, the function table and both sides.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    domain = gen.LETTERS[:carrier_size]
+    codomain = ("x", "y", "z")[:carrier_size]
+    rng = random.Random(seed)
+    values = gen.enumerate_values(op.kind, domain)
+    tables = gen.enumerate_kleisli(op.kind, domain, codomain)
+    fixed = ()
+    if values is not None and tables is not None and op.arity <= 2:
+        fixed = ((op, args, table)
+                 for args in itertools.product(values, repeat=op.arity)
+                 for table in tables)
+    randoms = (_algebraic_case(op, rng, domain, codomain)
+               for _ in range(trials))
+    passed, ran, witness = _search(algebraic_violation, fixed, randoms,
+                                   _algebraic_shrinks)
+    return LawResult("algebraicity", op.kind, passed, ran, seed, witness)
+
+
+def _effect_shrinks(eff: GenericEffect):
+    """Smaller effects: lower arity when the support allows, simpler body."""
+    if eff.arity > 0 and set(support(eff.body)) <= set(range(1, eff.arity)):
+        yield GenericEffect(eff.arity - 1, eff.body)
+    for body in _value_shrinks(eff.body):
+        if body != eff.body:
+            yield GenericEffect(eff.arity, body)
+
+
+def _exchange_shrinks(kind: MonadKind, left: GenericEffect,
+                      right: GenericEffect, grid: list):
+    """Cases with a smaller effect, then with a one-element grid."""
+    for smaller in _effect_shrinks(left):
+        yield kind, smaller, right, grid[:smaller.arity]
+    for smaller in _effect_shrinks(right):
+        yield kind, left, smaller, [row[:smaller.arity] for row in grid]
+    if any(x != grid[0][0] for row in grid for x in row):
+        yield kind, left, right, [[grid[0][0] for _ in row] for row in grid]
+
+
+def _exchange_case(kind: MonadKind, rng: random.Random) -> tuple:
+    left = gen.random_effect(kind, rng, max_arity=3)
+    right = gen.random_effect(kind, rng, max_arity=3)
+    grid = [[rng.choice(gen.LETTERS[:3]) for _ in range(right.arity)]
+            for _ in range(left.arity)]
+    return kind, left, right, grid
+
+
+def _distinct_grid(n: int, m: int) -> list[list[str]]:
+    return [[f"x{i}{j}" for j in range(1, m + 1)] for i in range(1, n + 1)]
+
+
+def _exchange_search(kind: MonadKind, trials: int, rng: random.Random):
+    basics = basic_effects(kind)
+    fixed = ((kind, left, right, _distinct_grid(left.arity, right.arity))
+             for left in basics for right in basics)
+    randoms = (_exchange_case(kind, rng) for _ in range(trials))
+    return _search(exchange_violation, fixed, randoms, _exchange_shrinks)
+
+
+def check_commutative(kind: MonadKind, trials: int = 50,
+                      seed: int = 0) -> LawResult:
+    """Search for an exchange-law violation over small effect pairs.
+
+    A deterministic pass over signature-derived, trivial and bottom
+    effects runs first (so the canonical counterexamples are found with
+    any trial budget), followed by seeded random pairs with arities up
+    to 3.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    passed, ran, witness = _exchange_search(kind, trials,
+                                            random.Random(seed))
+    return LawResult("commutativity", kind, passed, ran, seed, witness)
+
+
 def _carrier(cfg: LawSuiteConfig):
     return gen.LETTERS[:cfg.carrier_size_max]
 
 
+def _per_trial(trial: Callable) -> Callable:
+    """The suite cell that runs ``trial`` ``cfg.trials`` times.
+
+    ``trial(kind, rng, cfg)`` draws its inputs from ``rng`` and returns
+    a witness dict, or None when the law held.
+    """
+    def cell(kind, rng, cfg):
+        return _search(lambda: trial(kind, rng, cfg), (),
+                       itertools.repeat((), cfg.trials))
+    return cell
+
+
+@_per_trial
 def _law_kleisli(kind, rng, cfg):
     carrier = _carrier(cfg)
-    for t in range(cfg.trials):
-        x = rng.choice(carrier)
-        mu = gen.random_value(kind, rng, carrier)
-        f, ftab = gen.random_kleisli(kind, rng, carrier, carrier)
-        g, gtab = gen.random_kleisli(kind, rng, carrier, carrier)
-        if bind(unit(kind, x), f) != f(x):
-            return False, t + 1, {"side": "left-unit", "x": x,
-                                  "kleisli": ftab}
-        if bind(mu, lambda y: unit(kind, y)) != mu:
-            return False, t + 1, {"side": "right-unit", "mu": mu}
-        lhs = bind(bind(mu, f), g)
-        rhs = bind(mu, lambda y: bind(f(y), g))
-        if lhs != rhs:
-            return False, t + 1, {"side": "associativity", "mu": mu,
-                                  "f": ftab, "g": gtab,
-                                  "lhs": lhs, "rhs": rhs}
-    return True, cfg.trials, None
+    x = rng.choice(carrier)
+    mu = gen.random_value(kind, rng, carrier)
+    f, ftab = gen.random_kleisli(kind, rng, carrier, carrier)
+    g, gtab = gen.random_kleisli(kind, rng, carrier, carrier)
+    if bind(unit(kind, x), f) != f(x):
+        return {"side": "left-unit", "x": x, "kleisli": ftab}
+    if bind(mu, lambda y: unit(kind, y)) != mu:
+        return {"side": "right-unit", "mu": mu}
+    lhs = bind(bind(mu, f), g)
+    rhs = bind(mu, lambda y: bind(f(y), g))
+    if lhs != rhs:
+        return {"side": "associativity", "mu": mu, "f": ftab, "g": gtab,
+                "lhs": lhs, "rhs": rhs}
+    return None
 
 
 def _law_algebraicity(kind, rng, cfg):
@@ -127,91 +304,74 @@ def _law_algebraicity(kind, rng, cfg):
     ops = [descriptor_op(d) for d in signature(kind)]
     ops += [effect_to_op(gen.random_effect(kind, rng, max_arity=3))
             for _ in range(3)]
-    for t in range(cfg.trials):
-        op = ops[t % len(ops)]
-        args = [gen.random_value(kind, rng, carrier)
-                for _ in range(op.arity)]
-        f, table = gen.random_kleisli(kind, rng, carrier, carrier)
-        ce = algebraic_violation(op, args, table)
-        if ce is not None:
-            ce["operation_arity"] = op.arity
-            return False, t + 1, ce
-    return True, cfg.trials, None
+    randoms = (_algebraic_case(ops[t % len(ops)], rng, carrier, carrier)
+               for t in range(cfg.trials))
+    return _search(algebraic_violation, (), randoms, _algebraic_shrinks)
 
 
+@_per_trial
 def _law_unit(kind, rng, cfg):
-    carrier = _carrier(cfg)
-    for t in range(cfg.trials):
-        xi = gen.random_presentation(kind, rng, carrier,
-                                     max_arity=cfg.arity_max)
-        wrapped = seq_compose(
-            Presentation(trivial_effect(kind), (0,)), [xi])
-        if not diagram_eq(wrapped, xi):
-            return False, t + 1, {"side": "left", "xi_effect": xi.effect,
-                                  "xi_row": list(xi.row)}
-        trivial_family = [Presentation(trivial_effect(kind), (x,))
-                          for x in xi.row]
-        padded = seq_compose(xi, trivial_family)
-        if not diagram_eq(padded, xi):
-            return False, t + 1, {"side": "right", "xi_effect": xi.effect,
-                                  "xi_row": list(xi.row)}
-    return True, cfg.trials, None
+    xi = gen.random_presentation(kind, rng, _carrier(cfg),
+                                 max_arity=cfg.arity_max)
+    wrapped = seq_compose(Presentation(trivial_effect(kind), (0,)), [xi])
+    if not diagram_eq(wrapped, xi):
+        return {"side": "left", "xi_effect": xi.effect,
+                "xi_row": list(xi.row)}
+    trivial_family = [Presentation(trivial_effect(kind), (x,))
+                      for x in xi.row]
+    if not diagram_eq(seq_compose(xi, trivial_family), xi):
+        return {"side": "right", "xi_effect": xi.effect,
+                "xi_row": list(xi.row)}
+    return None
 
 
+@_per_trial
 def _law_associativity(kind, rng, cfg):
     carrier = _carrier(cfg)
-    for t in range(cfg.trials):
-        xi = gen.random_presentation(kind, rng, carrier, max_arity=3)
-        family = [gen.random_presentation(kind, rng, carrier, max_arity=2)
-                  for _ in range(xi.effect.arity)]
-        subfamilies = [[gen.random_presentation(kind, rng, carrier,
-                                                max_arity=2)
-                        for _ in range(member.effect.arity)]
-                       for member in family]
-        flat = [p for sub in subfamilies for p in sub]
-        lhs = seq_compose(seq_compose(xi, family), flat)
-        rhs = seq_compose(
-            xi, [seq_compose(member, sub)
-                 for member, sub in zip(family, subfamilies)])
-        if not diagram_eq(lhs, rhs):
-            return False, t + 1, {"outer": xi.effect,
-                                  "lhs": interpret(lhs),
-                                  "rhs": interpret(rhs)}
-    return True, cfg.trials, None
+    xi = gen.random_presentation(kind, rng, carrier, max_arity=3)
+    family = [gen.random_presentation(kind, rng, carrier, max_arity=2)
+              for _ in range(xi.effect.arity)]
+    subfamilies = [[gen.random_presentation(kind, rng, carrier, max_arity=2)
+                    for _ in range(member.effect.arity)]
+                   for member in family]
+    flat = [p for sub in subfamilies for p in sub]
+    lhs = seq_compose(seq_compose(xi, family), flat)
+    rhs = seq_compose(xi, [seq_compose(member, sub)
+                           for member, sub in zip(family, subfamilies)])
+    if not diagram_eq(lhs, rhs):
+        return {"outer": xi.effect, "lhs": interpret(lhs),
+                "rhs": interpret(rhs)}
+    return None
 
 
+@_per_trial
 def _law_composition(kind, rng, cfg):
     carrier = _carrier(cfg)
-    for t in range(cfg.trials):
-        xi = gen.random_presentation(kind, rng, carrier,
-                                     max_arity=cfg.arity_max)
-        family = [gen.random_presentation(kind, rng, carrier, max_arity=2)
-                  for _ in range(xi.effect.arity)]
-        composite = seq_compose(xi, family)
-        # independent oracle: bind the outer indices straight into the
-        # interpreted family members
-        oracle = bind(xi.effect.body,
-                      lambda i: interpret(family[i - 1]))
-        if interpret(composite) != oracle:
-            return False, t + 1, {"outer": xi.effect,
-                                  "composite": interpret(composite),
-                                  "oracle": oracle}
-    return True, cfg.trials, None
+    xi = gen.random_presentation(kind, rng, carrier, max_arity=cfg.arity_max)
+    family = [gen.random_presentation(kind, rng, carrier, max_arity=2)
+              for _ in range(xi.effect.arity)]
+    composite = seq_compose(xi, family)
+    # independent oracle: bind the outer indices straight into the
+    # interpreted family members
+    oracle = bind(xi.effect.body, lambda i: interpret(family[i - 1]))
+    if interpret(composite) != oracle:
+        return {"outer": xi.effect, "composite": interpret(composite),
+                "oracle": oracle}
+    return None
 
 
+@_per_trial
 def _law_binding(kind, rng, cfg):
     carrier = _carrier(cfg)
-    for t in range(cfg.trials):
-        mu = gen.random_value(kind, rng, carrier)
-        f, table = gen.random_kleisli(kind, rng, carrier, carrier)
-        lhs = decompose(bind(mu, f))
-        xi = decompose(mu)
-        rhs = seq_compose(xi, [decompose(f(x)) for x in xi.row])
-        if not diagram_eq(lhs, rhs):
-            return False, t + 1, {"mu": mu, "kleisli": table,
-                                  "lhs": interpret(lhs),
-                                  "rhs": interpret(rhs)}
-    return True, cfg.trials, None
+    mu = gen.random_value(kind, rng, carrier)
+    f, table = gen.random_kleisli(kind, rng, carrier, carrier)
+    lhs = decompose(bind(mu, f))
+    xi = decompose(mu)
+    rhs = seq_compose(xi, [decompose(f(x)) for x in xi.row])
+    if not diagram_eq(lhs, rhs):
+        return {"mu": mu, "kleisli": table, "lhs": interpret(lhs),
+                "rhs": interpret(rhs)}
+    return None
 
 
 def _equal_pair(kind, rng, cfg):
@@ -228,89 +388,85 @@ def _equal_pair(kind, rng, cfg):
     return base, extend(permuted, iota, m, fill)
 
 
+@_per_trial
 def _law_congruence(kind, rng, cfg):
     carrier = _carrier(cfg)
-    for t in range(cfg.trials):
-        xi, rho = _equal_pair(kind, rng, cfg)
-        if not diagram_eq(xi, rho):
-            return False, t + 1, {"side": "generator", "xi": interpret(xi),
-                                  "rho": interpret(rho)}
-        f, table = gen.random_kleisli(kind, rng, carrier, carrier)
-        lhs = bind(xi.effect.body, lambda i: f(xi.row[i - 1]))
-        rhs = bind(rho.effect.body, lambda i: f(rho.row[i - 1]))
-        if lhs != rhs:
-            return False, t + 1, {"xi": interpret(xi), "kleisli": table,
-                                  "lhs": lhs, "rhs": rhs}
-    return True, cfg.trials, None
+    xi, rho = _equal_pair(kind, rng, cfg)
+    if not diagram_eq(xi, rho):
+        return {"side": "generator", "xi": interpret(xi),
+                "rho": interpret(rho)}
+    f, table = gen.random_kleisli(kind, rng, carrier, carrier)
+    lhs = bind(xi.effect.body, lambda i: f(xi.row[i - 1]))
+    rhs = bind(rho.effect.body, lambda i: f(rho.row[i - 1]))
+    if lhs != rhs:
+        return {"xi": interpret(xi), "kleisli": table, "lhs": lhs,
+                "rhs": rhs}
+    return None
 
 
+@_per_trial
 def _law_monotonicity(kind, rng, cfg):
     carrier = _carrier(cfg)
-    for t in range(cfg.trials):
-        nu = gen.random_value(kind, rng, carrier)
-        mu = gen.weaken(nu, rng)
-        f, ftab = gen.random_kleisli(kind, rng, carrier, carrier)
-        # mu <= nu entails (mu >>= f) <= (nu >>= f)
-        if not leq(bind(mu, f), bind(nu, f)):
-            return False, t + 1, {"rule": "left", "mu": mu, "nu": nu,
-                                  "kleisli": ftab}
-        g, gtab = gen.random_kleisli(kind, rng, carrier, carrier)
-        weak = {x: gen.weaken(g(x), rng) for x in carrier}
-        # f <= g pointwise entails (mu >>= f) <= (mu >>= g)
-        if not leq(bind(nu, lambda x: weak[x]), bind(nu, g)):
-            return False, t + 1, {"rule": "right", "nu": nu, "g": gtab}
-        # slotwise: every family member below its mate
-        eff = gen.random_effect(kind, rng, max_arity=3)
-        high = [gen.random_value(kind, rng, carrier)
-                for _ in range(eff.arity)]
-        low = [gen.weaken(h, rng) for h in high]
-        if not leq(bind(eff.body, lambda i: low[i - 1]),
-                   bind(eff.body, lambda i: high[i - 1])):
-            return False, t + 1, {"rule": "slotwise", "effect": eff,
-                                  "low": low, "high": high}
-    return True, cfg.trials, None
+    nu = gen.random_value(kind, rng, carrier)
+    mu = gen.weaken(nu, rng)
+    f, ftab = gen.random_kleisli(kind, rng, carrier, carrier)
+    # mu <= nu entails (mu >>= f) <= (nu >>= f)
+    if not leq(bind(mu, f), bind(nu, f)):
+        return {"rule": "left", "mu": mu, "nu": nu, "kleisli": ftab}
+    g, gtab = gen.random_kleisli(kind, rng, carrier, carrier)
+    weak = {x: gen.weaken(g(x), rng) for x in carrier}
+    # f <= g pointwise entails (mu >>= f) <= (mu >>= g)
+    if not leq(bind(nu, lambda x: weak[x]), bind(nu, g)):
+        return {"rule": "right", "nu": nu, "g": gtab}
+    # slotwise: every family member below its mate
+    eff = gen.random_effect(kind, rng, max_arity=3)
+    high = [gen.random_value(kind, rng, carrier) for _ in range(eff.arity)]
+    low = [gen.weaken(h, rng) for h in high]
+    if not leq(bind(eff.body, lambda i: low[i - 1]),
+               bind(eff.body, lambda i: high[i - 1])):
+        return {"rule": "slotwise", "effect": eff, "low": low, "high": high}
+    return None
 
 
+@_per_trial
 def _law_bottom(kind, rng, cfg):
     carrier = _carrier(cfg)
     bot = bottom(kind)
-    for t in range(cfg.trials):
-        mu = gen.random_value(kind, rng, carrier)
-        if not leq(bot, mu):
-            return False, t + 1, {"rule": "least", "mu": mu}
-        n = rng.randint(0, cfg.arity_max)
-        row = tuple(rng.choice(carrier) for _ in range(n))
-        if interpret(Presentation(bottom_effect(kind, n), row)) != bot:
-            return False, t + 1, {"rule": "collapse", "arity": n,
-                                  "row": list(row)}
-        family = [gen.random_presentation(kind, rng, carrier, max_arity=2)
-                  for _ in range(n)]
-        absorbed = seq_compose(
-            Presentation(bottom_effect(kind, n), row), family)
-        if interpret(absorbed) != bot:
-            return False, t + 1, {"rule": "left-absorption", "arity": n}
-        if map_carrier(bot, lambda x: x) != bot:
-            return False, t + 1, {"rule": "strict-map"}
-    return True, cfg.trials, None
+    mu = gen.random_value(kind, rng, carrier)
+    if not leq(bot, mu):
+        return {"rule": "least", "mu": mu}
+    n = rng.randint(0, cfg.arity_max)
+    row = tuple(rng.choice(carrier) for _ in range(n))
+    if interpret(Presentation(bottom_effect(kind, n), row)) != bot:
+        return {"rule": "collapse", "arity": n, "row": list(row)}
+    family = [gen.random_presentation(kind, rng, carrier, max_arity=2)
+              for _ in range(n)]
+    absorbed = seq_compose(Presentation(bottom_effect(kind, n), row), family)
+    if interpret(absorbed) != bot:
+        return {"rule": "left-absorption", "arity": n}
+    if map_carrier(bot, lambda x: x) != bot:
+        return {"rule": "strict-map"}
+    return None
+
+
+def _absorption_violation(kind: MonadKind,
+                          eff: GenericEffect) -> Optional[dict]:
+    """Right bottom absorption: an effect over all-bottom is bottom."""
+    bot = bottom(kind)
+    got = bind(eff.body, lambda i: bot)
+    return None if got == bot else {"effect": eff, "got": got}
 
 
 def _law_absorption(kind, rng, cfg):
-    """Right bottom absorption: an effect over all-bottom is bottom."""
-    bot = bottom(kind)
-    randoms = (gen.random_effect(kind, rng, max_arity=cfg.arity_max)
+    fixed = ((kind, eff) for eff in basic_effects(kind))
+    randoms = ((kind, gen.random_effect(kind, rng, max_arity=cfg.arity_max))
                for _ in range(cfg.trials))
-    for trials, eff in enumerate(
-            itertools.chain(basic_effects(kind), randoms), 1):
-        got = bind(eff.body, lambda i: bot)
-        if got != bot:
-            return False, trials, {"effect": eff, "got": got}
-    return True, trials, None
+    return _search(_absorption_violation, fixed, randoms)
 
 
 def _law_commutativity(kind, rng, cfg):
-    report = check_commutative(kind, trials=cfg.trials,
-                               seed=rng.randrange(2 ** 30))
-    return report.passed, report.trials, report.counterexample
+    return _exchange_search(kind, cfg.trials,
+                            random.Random(rng.randrange(2 ** 30)))
 
 
 _LAW_FUNCTIONS: dict[str, Callable] = {
@@ -328,23 +484,16 @@ _LAW_FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def expected_pass(law: str, kind: MonadKind) -> bool:
-    return kind.tag not in EXPECTED_FAIL.get(law, frozenset())
-
-
 def run_law_suite(cfg: LawSuiteConfig) -> SuiteReport:
     """Run every configured law against every configured instance."""
     results = []
     for law in cfg.laws:
         fn = _LAW_FUNCTIONS[law]
         for kind in cfg.monads:
-            cell_seed = f"{cfg.seed}:{law}:{kind.tag}"
-            rng = random.Random(cell_seed)
-            passed, trials, ce = fn(kind, rng, cfg)
-            results.append(LawResult(
-                law=law, monad=kind, passed=passed, trials=trials,
-                seed=cfg.seed, expected_pass=expected_pass(law, kind),
-                counterexample=ce))
+            rng = random.Random(f"{cfg.seed}:{law}:{kind.tag}")
+            passed, trials, witness = fn(kind, rng, cfg)
+            results.append(LawResult(law, kind, passed, trials, cfg.seed,
+                                     witness))
     return SuiteReport(cfg.seed, results)
 
 
@@ -356,6 +505,6 @@ def replay(law: str, kind: MonadKind, counterexample: dict) -> bool:
             counterexample["right_effect"],
             counterexample["grid"]) is not None
     if law == "absorption":
-        eff = counterexample["effect"]
-        return bind(eff.body, lambda i: bottom(kind)) != bottom(kind)
+        return _absorption_violation(
+            kind, counterexample["effect"]) is not None
     raise ValueError(f"no replay support for law {law!r}")

@@ -192,7 +192,7 @@ def value_to_obj(x):
 
 
 def value_from_obj(obj):
-    if isinstance(obj, (int, str)):
+    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         return obj
     raise KindError(f"bad serialized carrier element: {obj!r}")
 

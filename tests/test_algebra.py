@@ -306,6 +306,46 @@ class TestCheckCommutative:
         assert a.to_obj() == b.to_obj()
 
 
+class TestReportShape:
+    """The public checkers report through the law suite's ``LawResult``."""
+
+    @pytest.mark.parametrize("kind, expected", [
+        (ed.output_kind(("a", "b")), False), (ed.DIST, True)],
+        ids=["output", "dist"])
+    def test_check_commutative(self, kind, expected):
+        report = ed.check_commutative(kind, trials=1)
+        assert isinstance(report, ed.LawResult)
+        assert report.law == "commutativity" and report.monad == kind
+        assert report.expected_pass is expected
+        assert report.passed is expected and report.as_expected
+        obj = report.to_obj()
+        assert obj["monad"] == kind.tag
+        assert obj["expected_pass"] is expected
+
+    def test_check_algebraic(self):
+        desc = ed.signature(STATE)[0]
+        report = ed.check_algebraic(ed.descriptor_op(desc), trials=3)
+        assert isinstance(report, ed.LawResult)
+        assert report.law == "algebraicity" and report.monad == STATE
+        assert report.expected_pass is True and report.as_expected
+        assert report.to_obj()["monad"] == "state"
+
+    def test_planted_failure_is_unexpected(self):
+        # bottom where the argument returns, a unit where it diverges
+        def flip(mu):
+            if ed.is_bottom(mu):
+                return ed.unit(ed.MAYBE, "a")
+            return ed.bottom(ed.MAYBE)
+
+        planted = ed.DerivedOperation(ed.MAYBE, 1, flip)
+        report = ed.check_algebraic(planted, trials=5, seed=2)
+        assert report.monad == ed.MAYBE and not report.passed
+        assert report.expected_pass is True and not report.as_expected
+        obj = report.to_obj()
+        assert obj["monad"] == "maybe" and obj["expected_pass"] is True
+        assert obj["pass"] is False and "counterexample" in obj
+
+
 class TestAbsorptionPattern:
     def test_right_bottom_absorption_table(self):
         # raising and printing survive a following divergence; state

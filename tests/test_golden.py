@@ -33,6 +33,9 @@ FILES = {
     'row-not-list.json':
         ('{"effect":{"arity":1,"body":{"kind":"dist","entries":[[1,"1"'
          ']]}},"row":"c"}\n'),
+    'bool-row.json':
+        ('{"effect":{"arity":1,"body":{"kind":"maybe","value":1}},"row":'
+         '[true]}\n'),
 }
 
 TOO_DEEP = ('error: recursion limit reached: the program is nested too '
@@ -453,6 +456,13 @@ CASES = [
     (['eval', '-m', 'maybe', '(' * 5000 + 'v' + ')' * 5000],
      5, '',
      TOO_DEEP),
+    (['compose', '{dir}/bool-row.json', '{dir}/bool-row.json'],
+     3, '',
+     'signature error: bad serialized carrier element: True\n'),
+    (['compose', '--format', 'machine', '{dir}/bool-row.json',
+      '{dir}/bool-row.json'],
+     3, '',
+     'signature error: bad serialized carrier element: True\n'),
 ]
 
 

@@ -260,8 +260,12 @@ class TestImmutability:
         (lambda: ed.run_law_suite(ed.LawSuiteConfig(
             trials=1, laws=("unit",), monads=(ed.MAYBE,))).results[0],
          "passed", False),
+        (lambda: ed.LawSuiteConfig(laws=("kleisli",)), "trials", 0),
+        (lambda: ed.run_law_suite(ed.LawSuiteConfig(
+            trials=1, laws=("unit",), monads=(ed.MAYBE,))), "seed", 2),
     ], ids=["GenericEffect", "Presentation", "DerivedOperation",
-            "CheckReport", "LawResult"])
+            "check_commutative", "LawResult", "LawSuiteConfig",
+            "SuiteReport"])
     def test_assignment_raises(self, make, field, value):
         obj = make()
         with pytest.raises(dataclasses.FrozenInstanceError):
