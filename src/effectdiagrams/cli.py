@@ -3,7 +3,8 @@
 Four subcommands: ``eval`` runs a program and prints the resulting
 monadic value, ``diagram`` prints its effect/value presentation,
 ``compose`` plugs machine-format presentation files together, and
-``laws`` runs the executable law suite.
+``laws`` runs the executable law suite.  Each subcommand accepts only
+the options its handler reads (the README lists them).
 
 Programs are given literally or as ``@path``.  Exit codes: 0 on
 success; 1 for unmet law expectations, a stuck evaluation, an arity
@@ -30,22 +31,6 @@ from .monads import ArityError, KNOWN_TAGS, KindError, instance
 from .presentations import ArityCapError, render
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-m", "--monad", choices=KNOWN_TAGS, default="maybe")
-    sub.add_argument("--exceptions", default="err",
-                     help="comma-separated labels for the exc monad")
-    sub.add_argument("--locations", default="l0,l1",
-                     help="comma-separated locations for the state monad")
-    sub.add_argument("--alphabet", default="ab",
-                     help="characters for the output monad")
-    sub.add_argument("-f", "--fuel", type=int, default=32)
-    sub.add_argument("--format", choices=("text", "machine"),
-                     default="text")
-    sub.add_argument("--prelude", default=None,
-                     help="extra definitions file (name = term per line)")
-    sub.add_argument("--seed", type=int, default=1)
-
-
 def _load_program(spec: str) -> str:
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as handle:
@@ -55,7 +40,7 @@ def _load_program(spec: str) -> str:
 
 def _parse_program(args) -> tuple:
     kind = instance(args.monad).kind_from_text(vars(args))
-    defs = default_defs(kind=kind)
+    defs = default_defs()
     if args.prelude:
         with open(args.prelude, encoding="utf-8") as handle:
             defs.update(parse_defs(handle.read(), kind=kind))
@@ -133,6 +118,17 @@ def _cmd_laws(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # option groups that several subcommands read
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "machine"), default="text")
+    texts = argparse.ArgumentParser(add_help=False)
+    texts.add_argument("--exceptions", default="err",
+                       help="comma-separated labels for the exc monad")
+    texts.add_argument("--locations", default="l0,l1",
+                       help="comma-separated locations for the state monad")
+    texts.add_argument("--alphabet", default="ab",
+                       help="characters for the output monad")
+
     parser = argparse.ArgumentParser(
         prog="effdiag",
         description="Evaluate effectful programs and work with their "
@@ -142,21 +138,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, text in (
             ("eval", _cmd_eval, "evaluate a program"),
             ("diagram", _cmd_diagram, "evaluate and print the presentation")):
-        p_prog = subs.add_parser(name, help=text)
-        _add_common(p_prog)
+        p_prog = subs.add_parser(name, help=text, parents=[texts, fmt])
+        p_prog.add_argument("-m", "--monad", choices=KNOWN_TAGS,
+                            default="maybe")
+        p_prog.add_argument("-f", "--fuel", type=int, default=32)
+        p_prog.add_argument("--prelude", help="extra definitions file "
+                                              "(name = term per line)")
         p_prog.add_argument("program", help="source text, or @file")
         p_prog.set_defaults(func=func)
 
     p_comp = subs.add_parser(
-        "compose",
+        "compose", parents=[fmt],
         help="sequentially compose presentation files (outer first)")
-    _add_common(p_comp)
     p_comp.add_argument("files", nargs="+",
                         help="machine-format presentation files")
     p_comp.set_defaults(func=_cmd_compose)
 
-    p_laws = subs.add_parser("laws", help="run the law suite")
-    _add_common(p_laws)
+    p_laws = subs.add_parser("laws", help="run the law suite",
+                             parents=[texts, fmt])
+    p_laws.add_argument("--seed", type=int, default=1)
     p_laws.add_argument("--trials", type=int, default=50)
     p_laws.add_argument("--laws", default=None,
                         help="comma-separated law identifiers")
@@ -168,8 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse only reads a parser while parsing, so one serves every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,8 +1,10 @@
 """Seeded random generators and small exhaustive enumerators.
 
 Everything takes an explicit ``random.Random`` so callers control
-determinism.  Distribution weights are exact rationals with bounded
-denominators; state tables are total over all stores by construction.
+determinism.  Distribution weights are exact rationals with
+denominators of at most 16, printed prefixes have at most 3 characters,
+and state tables are total over all stores by construction.  Instances
+return canonical payloads, so the values are built without re-checking.
 """
 
 from __future__ import annotations
@@ -11,28 +13,24 @@ import itertools
 import random
 from typing import Callable, Optional, Sequence
 
-from .monads import INSTANCES, MonadKind, MonadValue
+from .monads import INSTANCES, MonadKind, MonadValue, _trusted
 from .presentations import GenericEffect, Presentation
 
 LETTERS = ("a", "b", "c", "d", "e")
 
 
 def random_value(kind: MonadKind, rng: random.Random,
-                 carrier: Sequence = LETTERS,
-                 max_denominator: int = 16,
-                 max_output_len: int = 3) -> MonadValue:
+                 carrier: Sequence = LETTERS) -> MonadValue:
     """A random element of the instance over the given carrier."""
-    return MonadValue(kind, INSTANCES[kind.tag].random(
-        kind, rng, list(carrier), max_denominator, max_output_len))
+    return _trusted(kind, INSTANCES[kind.tag].random(
+        kind, rng, list(carrier)))
 
 
 def random_effect(kind: MonadKind, rng: random.Random,
-                  max_arity: int = 4, arity: Optional[int] = None,
-                  max_denominator: int = 16) -> GenericEffect:
+                  max_arity: int = 4) -> GenericEffect:
     """A random generic effect of bounded arity."""
-    n = rng.randint(0, max_arity) if arity is None else arity
-    body = random_value(kind, rng, carrier=range(1, n + 1),
-                        max_denominator=max_denominator)
+    n = rng.randint(0, max_arity)
+    body = random_value(kind, rng, carrier=range(1, n + 1))
     return GenericEffect(n, body)
 
 
@@ -46,17 +44,16 @@ def random_presentation(kind: MonadKind, rng: random.Random,
 
 
 def random_kleisli(kind: MonadKind, rng: random.Random,
-                   domain: Sequence, codomain: Sequence = LETTERS,
-                   **kwargs) -> tuple[Callable, dict]:
+                   domain: Sequence,
+                   codomain: Sequence = LETTERS) -> tuple[Callable, dict]:
     """A random carrier-to-monadic-value map, returned with its table."""
-    table = {x: random_value(kind, rng, carrier=codomain, **kwargs)
-             for x in domain}
+    table = {x: random_value(kind, rng, carrier=codomain) for x in domain}
     return (lambda x: table[x]), table
 
 
 def weaken(nu: MonadValue, rng: random.Random) -> MonadValue:
     """A random value below ``nu`` in the instance order."""
-    return MonadValue(nu.kind, INSTANCES[nu.kind.tag].weaken(nu.payload, rng))
+    return _trusted(nu.kind, INSTANCES[nu.kind.tag].weaken(nu.payload, rng))
 
 
 def enumerate_values(kind: MonadKind, carrier: Sequence) -> Optional[list]:
@@ -68,7 +65,7 @@ def enumerate_values(kind: MonadKind, carrier: Sequence) -> Optional[list]:
     payloads = INSTANCES[kind.tag].enumerate(kind, list(carrier))
     if payloads is None:
         return None
-    return [MonadValue(kind, p) for p in payloads]
+    return [_trusted(kind, p) for p in payloads]
 
 
 def enumerate_kleisli(kind: MonadKind, domain: Sequence,

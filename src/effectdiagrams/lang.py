@@ -482,5 +482,6 @@ def parse_defs(src: str, kind: Optional[MonadKind] = None) -> dict:
     return defs
 
 
-def default_defs(kind: Optional[MonadKind] = None) -> dict:
-    return parse_defs(DEFAULT_PRELUDE, kind=kind)
+def default_defs() -> dict:
+    """The parsed ``DEFAULT_PRELUDE``; it uses no operation, so no kind."""
+    return parse_defs(DEFAULT_PRELUDE)

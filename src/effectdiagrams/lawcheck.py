@@ -116,7 +116,10 @@ def _describe(v) -> Any:
 @dataclass(frozen=True)
 class SuiteReport:
     seed: int
-    results: list
+    results: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "results", tuple(self.results))
 
     @property
     def ok(self) -> bool:

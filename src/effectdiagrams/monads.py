@@ -66,7 +66,8 @@ class MonadKind:
 
     ``exceptions`` is used by ``exc``, ``locations`` by ``state`` and
     ``alphabet`` by ``output``; the parameter tuples must be non-empty
-    and duplicate-free where required.
+    and duplicate-free where required, and a field the instance does
+    not read must stay empty.
     """
 
     tag: str
@@ -78,6 +79,8 @@ class MonadKind:
         inst = instance(self.tag)
         for name in ("exceptions", "locations", "alphabet"):
             params = getattr(self, name)
+            if params and name != inst.param:
+                raise KindError(f"the {self.tag} monad takes no {name}")
             if len(set(params)) != len(params):
                 raise KindError(f"duplicate entries in {name}: {params!r}")
         inst.check_kind(self)
@@ -321,7 +324,7 @@ class Maybe(Instance):
             return f"ret {payload.value}"
         return self.render(payload)
 
-    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+    def random(self, kind, rng, carrier):
         if not carrier or rng.random() < 0.2:
             return DIVERGE
         return Present(rng.choice(carrier))
@@ -359,7 +362,7 @@ class Exc(Maybe):
     def apply(self, kind, name, index, args):
         return Raised(index)
 
-    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+    def random(self, kind, rng, carrier):
         roll = rng.random()
         if roll < 0.2 or not carrier:
             if roll < 0.1:
@@ -407,7 +410,7 @@ class Powerset(Instance):
     def effect_text(self, arity, payload):
         return "{" + ",".join(str(i) for i in sorted(payload)) + "}"
 
-    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+    def random(self, kind, rng, carrier):
         k = rng.randint(0, min(len(carrier), 3))
         return frozenset(rng.sample(carrier, k))
 
@@ -470,8 +473,8 @@ class Dist(Instance):
     def effect_text(self, arity, payload):
         return ",".join(str(payload.get(i, 0)) for i in range(1, arity + 1))
 
-    def random(self, kind, rng, carrier, max_denominator, max_output_len):
-        denom = rng.randint(1, max_denominator)
+    def random(self, kind, rng, carrier):
+        denom = rng.randint(1, 16)
         k = rng.randint(0, min(len(carrier), 3))
         chosen = rng.sample(carrier, k)
         left = denom
@@ -615,7 +618,7 @@ class State(Instance):
     def effect_text(self, arity, payload):
         return self._cells(payload, "↦", " , ", ",")
 
-    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+    def random(self, kind, rng, carrier):
         all_stores = _stores(len(kind.locations))
         return {s: DIVERGE if not carrier or rng.random() < 0.25
                 else Present((rng.choice(carrier), rng.choice(all_stores)))
@@ -692,9 +695,9 @@ class Output(Instance):
     def effect_text(self, arity, payload):
         return f"({payload[0] or 'ε'},{_CELL.render(payload[1])})"
 
-    def random(self, kind, rng, carrier, max_denominator, max_output_len):
+    def random(self, kind, rng, carrier):
         w = "".join(rng.choice(kind.alphabet)
-                    for _ in range(rng.randint(0, max_output_len)))
+                    for _ in range(rng.randint(0, 3)))
         if not carrier or rng.random() < 0.25:
             return (w, DIVERGE)
         return (w, Present(rng.choice(carrier)))

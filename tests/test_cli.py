@@ -1,10 +1,19 @@
 """Command-line interface: outputs, exit codes, machine round trips."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import effectdiagrams as ed
 from effectdiagrams import presentations
-from effectdiagrams.cli import main
+from effectdiagrams.cli import build_parser, main
+
+from test_golden import workdir  # noqa: F401 (the golden files fixture)
 
 
 def run(capsys, *argv):
@@ -106,7 +115,7 @@ class TestCompose:
             p = tmp_path / f"p{i}.json"
             write_presentation(p, pres)
             paths.append(str(p))
-        code, out, _ = run(capsys, "compose", "-m", "dist", *paths)
+        code, out, _ = run(capsys, "compose", *paths)
         assert code == 0
         assert out == "[1/2,1/4,1/4 ‖ 1→x ; 2→x ; 3→y]"
 
@@ -122,8 +131,8 @@ class TestCompose:
             p = tmp_path / f"triv{i}.json"
             write_presentation(p, trivial_member(ed.DIST, value))
             paths.append(p)
-        code, out2, _ = run(capsys, "compose", "-m", "dist", "--format",
-                            "machine", *[str(p) for p in paths])
+        code, out2, _ = run(capsys, "compose", "--format", "machine",
+                            *[str(p) for p in paths])
         assert code == 0
         composed = presentations.from_obj(json.loads(out2))
         assert ed.diagram_eq(composed, original)
@@ -177,3 +186,89 @@ class TestLaws:
     def test_unknown_law_errors(self, capsys):
         code, _, err = run(capsys, "laws", "--laws", "bogus")
         assert code == 1 and "unknown law" in err
+
+
+KIND_TEXTS = {"--exceptions", "--locations", "--alphabet"}
+PROGRAM_OPTIONS = {"-m", "--monad", *KIND_TEXTS, "-f", "--fuel", "--format",
+                   "--prelude"}
+OPTIONS = {
+    "eval": PROGRAM_OPTIONS,
+    "diagram": PROGRAM_OPTIONS,
+    "compose": {"--format"},
+    "laws": {*KIND_TEXTS, "--format", "--seed", "--trials", "--laws",
+             "--monads", "--carrier-max", "--arity-max"},
+}
+
+# options no handler reads, each after arguments that are valid without it
+REMOVED = [
+    ("eval", "--seed", "1"), ("diagram", "--seed", "1"),
+    ("compose", "-m", "dist"), ("compose", "--exceptions", "err"),
+    ("compose", "--locations", "l0"), ("compose", "--alphabet", "ab"),
+    ("compose", "-f", "5"), ("compose", "--prelude", "defs.lam"),
+    ("compose", "--seed", "1"),
+    ("laws", "-m", "dist"), ("laws", "-f", "5"),
+    ("laws", "--prelude", "defs.lam"),
+]
+VALID_ARGS = {
+    "eval": ["v"], "diagram": ["v"], "compose": ["{dir}/outer.json"],
+    "laws": ["--laws", "bottom", "--trials", "1"],
+}
+
+
+def run_or_exit(argv):
+    """``main`` in this process; an argparse exit gives its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParser:
+    def test_each_subcommand_declares_what_its_handler_reads(self):
+        subs, = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        declared = {name: {s for a in sub._actions for s in a.option_strings}
+                    - {"-h", "--help"} for name, sub in subs.choices.items()}
+        assert declared == OPTIONS
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED)
+    def test_unread_option_is_a_bad_argument(self, capsys, workdir,
+                                             command, flag, value):
+        args = [a.replace("{dir}", str(workdir))
+                for a in VALID_ARGS[command]]
+        assert run_or_exit([command, *args, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
+    def test_one_process_answers_like_fresh_processes(self, capsys,
+                                                      workdir,
+                                                      monkeypatch):
+        # usage lines wrap at the terminal width, so fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        d = str(workdir)
+        argvs = [
+            ["eval", "-m", "exc", "--exceptions", "err,crash",
+             "(\\x. raise[crash]()) v"],
+            ["eval", "-m", "exc", "--format", "machine", "id v"],
+            ["laws", "--format", "machine", "--laws", "bottom",
+             "--trials", "2"],
+            ["compose", f"{d}/outer.json", "-m", "dist"],
+            ["compose", f"{d}/outer.json", f"{d}/left.json",
+             f"{d}/right.json"],
+        ]
+        in_process = []
+        for argv in argvs:
+            code = run_or_exit(argv)
+            in_process.append((code, *capsys.readouterr()))
+        src = str(Path(ed.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-m", "effectdiagrams.cli", *argv],
+                capture_output=True, encoding="utf-8", env=env)
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert [r[0] for r in in_process] == [0, 0, 0, 2, 0]
+        assert in_process == fresh

@@ -324,6 +324,11 @@ class TestPrelude:
                  ed.POWERSET, fuel=20)
         assert len(got.payload) >= 2
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
+    def test_default_prelude_parses_the_same_under_every_kind(self, kind):
+        assert ed.parse_defs(lang.DEFAULT_PRELUDE, kind=kind) == \
+            ed.default_defs()
+
     def test_parse_defs_rejects_reserved_names(self):
         with pytest.raises(ed.ParseError):
             ed.parse_defs("union = \\x. x")

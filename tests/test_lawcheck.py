@@ -25,7 +25,14 @@ class TestConfig:
 
     def test_empty_law_set_gives_empty_report(self):
         report = ed.run_law_suite(small_config(laws=()))
-        assert report.results == [] and report.ok
+        assert report.results == () and report.ok
+
+    def test_failing_report_cannot_be_cleared(self):
+        unexpected = ed.LawResult("unit", ed.MAYBE, False, 1, 1)
+        report = ed.SuiteReport(1, [unexpected])
+        with pytest.raises(AttributeError):
+            report.results.clear()
+        assert report.results == (unexpected,) and not report.ok
 
 
 class TestDeterminism:

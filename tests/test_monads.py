@@ -1,5 +1,6 @@
 """Instance semantics: unit, bind, operations, support, order, bottom."""
 
+import inspect
 import itertools
 import random
 from fractions import Fraction as F
@@ -353,6 +354,14 @@ class TestValidation:
         with pytest.raises(ed.KindError):
             ed.output_kind(("ab",))
 
+    @pytest.mark.parametrize("tag, field", [
+        (tag, field) for tag, inst in ed.monads.INSTANCES.items()
+        for field in ("exceptions", "locations", "alphabet")
+        if field != inst.param])
+    def test_kind_rejects_fields_its_instance_does_not_read(self, tag, field):
+        with pytest.raises(ed.KindError, match=field):
+            ed.MonadKind(tag, **{field: ("a",)})
+
 
 class TestDescriptorValidation:
     @pytest.mark.parametrize("name, arity, kind, index", [
@@ -430,6 +439,11 @@ def _trusted_results(draw):
     for desc in ed.signature(kind):
         args = [draw(values_for(kind)) for _ in range(desc.arity)]
         outs.append(ed.op_apply(desc, args))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    outs += [gen.random_value(kind, rng, CARRIER),
+             gen.random_value(kind, rng, ()),
+             gen.random_effect(kind, rng).body, gen.weaken(mu, rng),
+             *(gen.enumerate_values(kind, CARRIER) or ())]
     return outs
 
 
@@ -444,3 +458,19 @@ class TestTrustedPath:
             assert canon == out.payload
             assert type(canon) is type(out.payload)
             assert repr(canon) == repr(out.payload)
+
+
+@pytest.mark.parametrize("fn, params", [
+    pytest.param(gen.random_value, ["kind", "rng", "carrier"],
+                 id="random_value"),
+    pytest.param(gen.random_effect, ["kind", "rng", "max_arity"],
+                 id="random_effect"),
+    pytest.param(gen.random_kleisli, ["kind", "rng", "domain", "codomain"],
+                 id="random_kleisli"),
+    pytest.param(ed.default_defs, [], id="default_defs"),
+    *[pytest.param(inst.random, ["kind", "rng", "carrier"],
+                   id=f"{tag}.random")
+      for tag, inst in ed.monads.INSTANCES.items()],
+])
+def test_generator_parameters(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
