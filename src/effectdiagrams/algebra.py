@@ -52,16 +52,12 @@ def descriptor_op(desc: OpDescriptor) -> DerivedOperation:
                             lambda *args: op_apply(desc, list(args)))
 
 
-def op_to_effect(op: Union[DerivedOperation, OpDescriptor],
-                 arity: Optional[int] = None) -> GenericEffect:
+def op_to_effect(op: Union[DerivedOperation, OpDescriptor]) -> GenericEffect:
     """The effect induced by an operation: apply it to the unit row."""
     if isinstance(op, OpDescriptor):
         op = descriptor_op(op)
-    n = op.arity if arity is None else arity
-    if n != op.arity:
-        raise ArityError(f"operation has arity {op.arity}, requested {n}")
-    units = [unit(op.kind, i) for i in range(1, n + 1)]
-    return GenericEffect(n, op.apply(*units))
+    units = [unit(op.kind, i) for i in range(1, op.arity + 1)]
+    return GenericEffect(op.arity, op.apply(*units))
 
 
 def trivial_effect(kind: MonadKind) -> GenericEffect:

@@ -22,10 +22,9 @@ import json
 import sys
 
 from . import presentations, serialize
-from .lang import (EvalError, ParseError, SignatureError, default_defs,
+from .lang import (DEFAULT_PRELUDE, EvalError, ParseError, default_defs,
                    eval_diagram, evaluate, parse, parse_defs)
-from .lawcheck import (ALL_LAWS, LawSuiteConfig, default_kinds,
-                       run_law_suite)
+from .lawcheck import ALL_LAWS, LawSuiteConfig, run_law_suite
 from .algebra import seq_compose
 from .monads import ArityError, KNOWN_TAGS, KindError, instance
 from .presentations import ArityCapError, render
@@ -40,10 +39,12 @@ def _load_program(spec: str) -> str:
 
 def _parse_program(args) -> tuple:
     kind = instance(args.monad).kind_from_text(vars(args))
-    defs = default_defs()
     if args.prelude:
+        # the file continues the default prelude, so it sees its names
         with open(args.prelude, encoding="utf-8") as handle:
-            defs.update(parse_defs(handle.read(), kind=kind))
+            defs = parse_defs(DEFAULT_PRELUDE + handle.read(), kind=kind)
+    else:
+        defs = default_defs()
     term = parse(_load_program(args.program), kind=kind, defs=defs)
     return kind, term
 
@@ -81,11 +82,9 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    if args.monads:
-        kinds = tuple(instance(tag.strip()).kind_from_text(vars(args))
-                      for tag in args.monads.split(",") if tag.strip())
-    else:
-        kinds = default_kinds()
+    tags = args.monads.split(",") if args.monads else KNOWN_TAGS
+    kinds = tuple(instance(tag.strip()).kind_from_text(vars(args))
+                  for tag in tags if tag.strip())
     if args.laws is None:
         laws = ALL_LAWS
     else:
@@ -179,7 +178,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (SignatureError, KindError) as exc:
+    except KindError as exc:
         print(f"signature error: {exc}", file=sys.stderr)
         return 3
     except (EvalError, ArityCapError, ValueError) as exc:

@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .algebra import seq_compose
-from .monads import (INSTANCES, KindError, MonadKind, MonadValue,
-                     OpDescriptor, bind, bottom, op_apply, unit)
+# SignatureError is re-exported: parsing and evaluation raise it
+from .monads import (INSTANCES, MonadKind, MonadValue, OpDescriptor,
+                     SignatureError, bind, bottom, op_apply, unit)
 from .presentations import Presentation, decompose
 
 
@@ -49,10 +50,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
         self.pos = pos
-
-
-class SignatureError(KindError):
-    """An operation was used under a monad that does not provide it."""
 
 
 class EvalError(ValueError):
@@ -204,21 +201,14 @@ def _op_descriptor(name: str, indices: list, kind: Optional[MonadKind],
     index = tuple(indices) if n_idx > 1 else (indices[0] if n_idx else None)
     if kind is None:
         kind = owner.minimal_kind(name, index)
-    return _descriptor(name, arity, kind, index)
-
-
-def _descriptor(name: str, arity: int, kind: MonadKind, index):
-    try:
-        return OpDescriptor(name, arity, kind, index)
-    except KindError as exc:
-        raise SignatureError(str(exc)) from None
+    return OpDescriptor(name, arity, kind, index)
 
 
 def resolve_op(desc: OpDescriptor, kind: MonadKind) -> OpDescriptor:
     """Rebind a parsed descriptor to the active monad, or refuse."""
     if desc.kind == kind:
         return desc
-    return _descriptor(desc.name, desc.arity, kind, desc.index)
+    return OpDescriptor(desc.name, desc.arity, kind, desc.index)
 
 
 _PUNCT = "\\.()[],;"
@@ -465,7 +455,8 @@ three = succ two
 def parse_defs(src: str, kind: Optional[MonadKind] = None) -> dict:
     """Parse a prelude: one ``name = term`` per line, '#' comments.
 
-    Later definitions may use earlier ones.
+    Later definitions may use and redefine earlier ones, so text appended
+    to ``DEFAULT_PRELUDE`` sees every default name.
     """
     defs: dict = {}
     for raw in src.splitlines():

@@ -40,6 +40,10 @@ class KindError(ValueError):
     """Monad kinds, labels, locations or characters do not line up."""
 
 
+class SignatureError(KindError):
+    """An operation was used under a monad that does not provide it."""
+
+
 class ArityError(ValueError):
     """An operation was applied to the wrong number of arguments."""
 
@@ -115,7 +119,7 @@ class OpDescriptor:
     ``index`` holds the label for ``raise``, the location for ``read``,
     the ``(location, bit)`` pair for ``write`` and the character for
     ``print``; it is ``None`` for ``union`` and ``choice``.  A descriptor
-    outside its kind's signature raises ``KindError``.
+    outside its kind's signature raises ``SignatureError``.
     """
 
     name: str
@@ -255,13 +259,13 @@ class Instance:
 
     def check_op(self, kind: MonadKind, name: str, arity: int, index):
         if name not in self.ops:
-            raise KindError(
+            raise SignatureError(
                 f"operation {name!r} is not in the {self.tag} signature")
         if arity != self.ops[name][0]:
-            raise KindError(
+            raise SignatureError(
                 f"{name} has arity {self.ops[name][0]}, not {arity}")
         if index not in self.indices(kind, name):
-            raise KindError(self.bad_index(kind, name, index))
+            raise SignatureError(self.bad_index(kind, name, index))
 
     def minimal_kind(self, name: str, index) -> MonadKind:
         """The smallest kind whose signature has this operation."""

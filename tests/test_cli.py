@@ -76,6 +76,10 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "-m", "maybe",
                            "--prelude", str(path), "twice id v")
         assert code == 0 and out == "v"
+        # the file's lines see the default names
+        path.write_text("foo = id\n", encoding="utf-8")
+        code, out, _ = run(capsys, "eval", "--prelude", str(path), "foo v")
+        assert code == 0 and out == "v"
 
 
 class TestDiagram:
@@ -182,6 +186,15 @@ class TestLaws:
         parsed = json.loads(out)
         assert parsed["ok"] is True
         assert {r["law"] for r in parsed["results"]} == {"bottom"}
+
+    def test_kind_flags_apply_without_monads(self, capsys):
+        code, out, _ = run(capsys, "laws", "--laws", "commutativity",
+                           "--trials", "1", "--locations", "zz",
+                           "--format", "machine")
+        assert code == 0
+        state, = [r for r in json.loads(out)["results"]
+                  if r["monad"] == "state"]
+        assert state["counterexample"]["lhs"]["locations"] == ["zz"]
 
     def test_unknown_law_errors(self, capsys):
         code, _, err = run(capsys, "laws", "--laws", "bogus")

@@ -33,6 +33,18 @@ class TestConfig:
         with pytest.raises(AttributeError):
             report.results.clear()
         assert report.results == (unexpected,) and not report.ok
+        # nor can the witness of a failing cell
+        report = ed.run_law_suite(small_config(
+            laws=("commutativity",), monads=(ed.output_kind(("a", "b")),)))
+        witness = report.results[0].counterexample
+        before = report.to_obj()
+        with pytest.raises(AttributeError):
+            witness.clear()
+        with pytest.raises(TypeError):
+            witness["grid"] = []
+        with pytest.raises(TypeError):
+            del witness["lhs"]
+        assert report.to_obj() == before and not report.results[0].passed
 
 
 class TestDeterminism:

@@ -377,7 +377,7 @@ class TestDescriptorValidation:
         ("print", 1, ed.MAYBE, "a"),
     ])
     def test_outside_signature_rejected(self, name, arity, kind, index):
-        with pytest.raises(ed.KindError):
+        with pytest.raises(ed.SignatureError):
             ed.OpDescriptor(name, arity, kind, index)
 
     def test_signature_descriptors_accepted(self):
@@ -468,6 +468,9 @@ class TestTrustedPath:
     pytest.param(gen.random_kleisli, ["kind", "rng", "domain", "codomain"],
                  id="random_kleisli"),
     pytest.param(ed.default_defs, [], id="default_defs"),
+    pytest.param(ed.check_algebraic, ["op", "trials", "seed"],
+                 id="check_algebraic"),
+    pytest.param(ed.op_to_effect, ["op"], id="op_to_effect"),
     *[pytest.param(inst.random, ["kind", "rng", "carrier"],
                    id=f"{tag}.random")
       for tag, inst in ed.monads.INSTANCES.items()],
