@@ -192,23 +192,26 @@ OP_FAMILIES = {name: inst for inst in INSTANCES.values() for name in inst.ops}
 def _op_descriptor(name: str, indices: list, kind: Optional[MonadKind],
                    pos: int) -> OpDescriptor:
     owner = OP_FAMILIES[name]
-    arity, n_idx = owner.ops[name]
+    n_idx = owner.ops[name][1]
     if len(indices) != n_idx:
         raise ParseError(
             f"{name} takes {n_idx} bracket indices, got {len(indices)}", pos)
-    if name == "write" and indices[1] not in (0, 1):
-        raise ParseError(f"write bit must be 0 or 1, got {indices[1]!r}", pos)
+    if name == "write":
+        bit = indices[1]
+        if not (bit.isdecimal() and int(bit) in (0, 1)):
+            raise ParseError(f"write bit must be 0 or 1, got {bit!r}", pos)
+        indices[1] = int(bit)
     index = tuple(indices) if n_idx > 1 else (indices[0] if n_idx else None)
     if kind is None:
         kind = owner.minimal_kind(name, index)
-    return OpDescriptor(name, arity, kind, index)
+    return OpDescriptor(name, kind, index)
 
 
 def resolve_op(desc: OpDescriptor, kind: MonadKind) -> OpDescriptor:
     """Rebind a parsed descriptor to the active monad, or refuse."""
     if desc.kind == kind:
         return desc
-    return OpDescriptor(desc.name, desc.arity, kind, desc.index)
+    return OpDescriptor(desc.name, kind, desc.index)
 
 
 _PUNCT = "\\.()[],;"
@@ -320,10 +323,9 @@ class _Parser:
             self.next()
             while True:
                 ityp, itext, ipos = self.next()
-                if ityp == "ident":
+                # text: labels, locations and characters may be digits
+                if ityp in ("ident", "number"):
                     indices.append(itext)
-                elif ityp == "number":
-                    indices.append(int(itext))
                 else:
                     raise ParseError(f"bad index {itext!r}", ipos)
                 ttyp, ttext, tpos = self.next()

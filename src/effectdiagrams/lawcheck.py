@@ -68,6 +68,8 @@ class LawSuiteConfig:
             raise ValueError("trials must be >= 1")
         if self.carrier_size_max < 1 or self.arity_max < 1:
             raise ValueError("bounds must be >= 1")
+        if self.carrier_size_max > len(gen.LETTERS):
+            raise ValueError(f"carrier_size_max must be <= {len(gen.LETTERS)}")
         unknown = set(self.laws) - set(ALL_LAWS)
         if unknown:
             raise ValueError(f"unknown law identifiers: {sorted(unknown)}")

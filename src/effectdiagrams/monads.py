@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 MAX_LOCATIONS = 4
@@ -68,25 +69,21 @@ def canonical_key(x):
 class MonadKind:
     """Which instance a value belongs to, plus its parameters.
 
-    ``exceptions`` is used by ``exc``, ``locations`` by ``state`` and
-    ``alphabet`` by ``output``; the parameter tuples must be non-empty
-    and duplicate-free where required, and a field the instance does
-    not read must stay empty.
+    ``params`` holds the exception labels of ``exc``, the locations of
+    ``state`` or the characters of ``output``, without duplicates; it is
+    empty for an instance whose ``param`` is ``None``.
     """
 
     tag: str
-    exceptions: tuple = ()
-    locations: tuple = ()
-    alphabet: tuple = ()
+    params: tuple = ()
 
     def __post_init__(self):
         inst = instance(self.tag)
-        for name in ("exceptions", "locations", "alphabet"):
-            params = getattr(self, name)
-            if params and name != inst.param:
-                raise KindError(f"the {self.tag} monad takes no {name}")
-            if len(set(params)) != len(params):
-                raise KindError(f"duplicate entries in {name}: {params!r}")
+        if self.params and inst.param is None:
+            raise KindError(f"the {self.tag} monad takes no parameters")
+        if len(set(self.params)) != len(self.params):
+            raise KindError(
+                f"duplicate entries in {inst.param}: {self.params!r}")
         inst.check_kind(self)
 
 
@@ -119,47 +116,44 @@ class OpDescriptor:
     ``index`` holds the label for ``raise``, the location for ``read``,
     the ``(location, bit)`` pair for ``write`` and the character for
     ``print``; it is ``None`` for ``union`` and ``choice``.  A descriptor
-    outside its kind's signature raises ``SignatureError``.
+    outside its kind's signature raises ``SignatureError``.  The arity is
+    not stored: it is the one the instance's ``ops`` gives the name.
     """
 
     name: str
-    arity: int
     kind: MonadKind
     index: Any = None
 
     def __post_init__(self):
-        INSTANCES[self.kind.tag].check_op(
-            self.kind, self.name, self.arity, self.index)
+        INSTANCES[self.kind.tag].check_op(self.kind, self.name, self.index)
+
+    @property
+    def arity(self) -> int:
+        return INSTANCES[self.kind.tag].ops[self.name][0]
 
 
+@dataclass(frozen=True, slots=True)
 class MonadValue:
     """One element of one monad instance, canonicalised on construction.
 
-    A malformed payload raises ``KindError``.  The layout by tag:
+    A malformed payload raises ``KindError``.  The layout by tag, with
+    every mapping a read-only ``MappingProxyType`` view:
 
     * maybe:  ``Present(x)`` or ``DIVERGE``
     * exc:    ``Present(x)``, ``Raised(e)`` or ``DIVERGE``
     * set:    a ``frozenset`` of carrier elements
-    * dist:   a dict ``{x: Fraction}``, entries positive, mass <= 1
-    * state:  a dict from every store (tuple of bits, aligned with
-              ``kind.locations``) to ``DIVERGE`` or ``Present((x, store'))``
+    * dist:   a mapping ``{x: Fraction}``, entries positive, mass <= 1
+    * state:  a mapping from every store (tuple of bits, aligned with
+              ``kind.params``) to ``DIVERGE`` or ``Present((x, store'))``
     * output: a pair ``(w, tail)`` with ``w`` a string over the alphabet
               and ``tail`` either ``Present(x)`` or ``DIVERGE``
     """
 
-    __slots__ = ("kind", "payload")
+    kind: MonadKind
+    payload: Any
 
-    def __init__(self, kind: MonadKind, payload):
-        _set_kind(self, kind)
-        _set_payload(self, _normalise(kind, payload))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonadValue is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, MonadValue):
-            return NotImplemented
-        return self.kind == other.kind and self.payload == other.payload
+    def __post_init__(self):
+        _set_payload(self, _normalise(self.kind, self.payload))
 
     __hash__ = None
 
@@ -170,20 +164,25 @@ class MonadValue:
 def _normalise(kind: MonadKind, payload):
     """Check and canonicalise a payload: the one validating entry point."""
     try:
-        return INSTANCES[kind.tag].normalise(kind, payload)
+        payload = INSTANCES[kind.tag].normalise(kind, payload)
     except KindError:
         raise
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise KindError(f"bad {kind.tag} payload {payload!r}: {exc}") \
             from None
+    if type(payload) is dict:
+        payload = MappingProxyType(payload)
+    return payload
 
 
-# the slot setters bypass MonadValue.__setattr__, which refuses assignment
+# the slot setters bypass the frozen MonadValue.__setattr__
 _set_kind, _set_payload = MonadValue.kind.__set__, MonadValue.payload.__set__
 
 
 def _trusted(kind: MonadKind, payload) -> MonadValue:
     """Wrap a payload that is canonical by construction, unchecked."""
+    if type(payload) is dict:
+        payload = MappingProxyType(payload)
     mu = object.__new__(MonadValue)
     _set_kind(mu, kind)
     _set_payload(mu, payload)
@@ -214,7 +213,7 @@ class Instance:
     """
 
     tag = ""
-    # the MonadKind field this instance is parameterised by, if any
+    # the JSON key and CLI option naming MonadKind.params, if it has any
     param: Optional[str] = None
     # operation name -> (arity, number of bracket indices in the syntax)
     ops: dict = {}
@@ -224,8 +223,7 @@ class Instance:
 
     def make_kind(self, entries: Iterable = ()) -> MonadKind:
         """This instance's kind with ``entries`` as its parameter."""
-        params = {self.param: tuple(entries)} if self.param else {}
-        return MonadKind(self.tag, **params)
+        return MonadKind(self.tag, tuple(entries))
 
     def kind_from_text(self, texts: Mapping[str, str]) -> MonadKind:
         """The kind named by command-line texts keyed by parameter."""
@@ -235,7 +233,7 @@ class Instance:
     def kind_to_obj(self, kind: MonadKind) -> dict:
         obj = {"kind": self.tag}
         if self.param is not None:
-            obj[self.param] = list(getattr(kind, self.param))
+            obj[self.param] = list(kind.params)
         return obj
 
     def returns(self, payload) -> Iterable:
@@ -252,24 +250,22 @@ class Instance:
 
     def indices(self, kind: MonadKind, name: str) -> Sequence:
         """Every index the operation ``name`` takes under ``kind``."""
-        return getattr(kind, self.param) if self.param else (None,)
+        return kind.params if self.param else (None,)
 
     def bad_index(self, kind: MonadKind, name: str, index) -> str:
         return f"{name} takes no index, got {index!r}"
 
-    def check_op(self, kind: MonadKind, name: str, arity: int, index):
+    def check_op(self, kind: MonadKind, name: str, index):
+        """Raise ``SignatureError`` unless ``kind`` has ``name[index]``."""
         if name not in self.ops:
             raise SignatureError(
                 f"operation {name!r} is not in the {self.tag} signature")
-        if arity != self.ops[name][0]:
-            raise SignatureError(
-                f"{name} has arity {self.ops[name][0]}, not {arity}")
         if index not in self.indices(kind, name):
             raise SignatureError(self.bad_index(kind, name, index))
 
     def minimal_kind(self, name: str, index) -> MonadKind:
         """The smallest kind whose signature has this operation."""
-        return self.make_kind((index,))
+        return self.make_kind((index,) if self.param else ())
 
     def enumerate(self, kind: MonadKind, carrier: list) -> Optional[list]:
         return None
@@ -292,8 +288,6 @@ class Maybe(Instance):
 
     def returns(self, payload):
         return [payload.value] if isinstance(payload, Present) else []
-
-    support = returns
 
     def join(self, payload, outs):
         return outs[0] if outs else payload
@@ -351,12 +345,12 @@ class Exc(Maybe):
     cells = (Present, Raised, Diverge)
 
     def check_kind(self, kind):
-        if not kind.exceptions:
+        if not kind.params:
             raise KindError("exception monad needs a non-empty label set")
 
     def normalise(self, kind, payload):
         if isinstance(payload, Raised) and \
-                payload.label not in kind.exceptions:
+                payload.label not in kind.params:
             raise KindError(f"unknown exception label {payload.label!r}")
         return super().normalise(kind, payload)
 
@@ -371,11 +365,11 @@ class Exc(Maybe):
         if roll < 0.2 or not carrier:
             if roll < 0.1:
                 return DIVERGE
-            return Raised(rng.choice(kind.exceptions))
+            return Raised(rng.choice(kind.params))
         return Present(rng.choice(carrier))
 
     def enumerate(self, kind, carrier):
-        return [DIVERGE, *map(Raised, kind.exceptions), *map(Present, carrier)]
+        return [DIVERGE, *map(Raised, kind.params), *map(Present, carrier)]
 
 
 class Powerset(Instance):
@@ -516,16 +510,16 @@ class State(Instance):
     ops = {"read": (2, 1), "write": (1, 2)}
 
     def check_kind(self, kind):
-        if not kind.locations:
+        if not kind.params:
             raise KindError("state monad needs a non-empty location list")
-        if len(kind.locations) > MAX_LOCATIONS:
+        if len(kind.params) > MAX_LOCATIONS:
             raise KindError(
                 f"at most {MAX_LOCATIONS} locations supported, "
-                f"got {len(kind.locations)}")
+                f"got {len(kind.params)}")
 
     def normalise(self, kind, payload):
         table = dict(payload)
-        all_stores = _stores(len(kind.locations))
+        all_stores = _stores(len(kind.params))
         for store in all_stores:
             if store not in table:
                 raise KindError(f"store {store!r} missing from state table")
@@ -540,16 +534,16 @@ class State(Instance):
             raise KindError(f"bad state cell {cell!r}")
         x, nxt = cell.value
         nxt = tuple(nxt)
-        if len(nxt) != len(kind.locations) or \
+        if len(nxt) != len(kind.params) or \
                 any(b not in (0, 1) for b in nxt):
             raise KindError(f"bad successor store {nxt!r}")
         return Present((x, nxt))
 
     def unit(self, kind, x):
-        return {s: Present((x, s)) for s in _stores(len(kind.locations))}
+        return {s: Present((x, s)) for s in _stores(len(kind.params))}
 
     def bottom(self, kind):
-        return dict.fromkeys(_stores(len(kind.locations)), DIVERGE)
+        return dict.fromkeys(_stores(len(kind.params)), DIVERGE)
 
     def returns(self, payload):
         return list(dict.fromkeys(cell.value[0] for cell in payload.values()
@@ -568,24 +562,24 @@ class State(Instance):
 
     def indices(self, kind, name):
         if name == "read":
-            return kind.locations
-        return [(loc, b) for loc in kind.locations for b in (0, 1)]
+            return kind.params
+        return [(loc, b) for loc in kind.params for b in (0, 1)]
 
     def bad_index(self, kind, name, index):
         if name == "write":
             if not isinstance(index, tuple) or len(index) != 2 or \
-                    index[0] in kind.locations:
+                    index[0] in kind.params:
                 return f"bad write index {index!r}"
             index = index[0]
         return f"unknown location {index!r}"
 
     def apply(self, kind, name, index, args):
-        all_stores = _stores(len(kind.locations))
+        all_stores = _stores(len(kind.params))
         if name == "read":
-            i = kind.locations.index(index)
+            i = kind.params.index(index)
             return {s: args[s[i]][s] for s in all_stores}
         loc, bit = index
-        i = kind.locations.index(loc)
+        i = kind.params.index(loc)
         return {s: args[0][s[:i] + (bit,) + s[i + 1:]] for s in all_stores}
 
     def minimal_kind(self, name, index):
@@ -598,7 +592,7 @@ class State(Instance):
             for s, c in sorted(payload.items())]}
 
     def from_obj(self, kind, obj):
-        width = len(kind.locations)
+        width = len(kind.params)
         table = {}
         for store_s, cell in obj["table"]:
             store = _store_from_str(store_s, width)
@@ -623,7 +617,7 @@ class State(Instance):
         return self._cells(payload, "↦", " , ", ",")
 
     def random(self, kind, rng, carrier):
-        all_stores = _stores(len(kind.locations))
+        all_stores = _stores(len(kind.params))
         return {s: DIVERGE if not carrier or rng.random() < 0.25
                 else Present((rng.choice(carrier), rng.choice(all_stores)))
                 for s in all_stores}
@@ -639,10 +633,10 @@ class Output(Instance):
     ops = {"print": (1, 1)}
 
     def check_kind(self, kind):
-        if not kind.alphabet:
+        if not kind.params:
             raise KindError("output monad needs a non-empty alphabet")
         if any(not (isinstance(c, str) and len(c) == 1)
-               for c in kind.alphabet):
+               for c in kind.params):
             raise KindError("alphabet entries must be single characters")
 
     def kind_from_text(self, texts):
@@ -650,7 +644,7 @@ class Output(Instance):
 
     def normalise(self, kind, payload):
         w, tail = payload
-        if not isinstance(w, str) or any(c not in kind.alphabet for c in w):
+        if not isinstance(w, str) or any(c not in kind.params for c in w):
             raise KindError(f"output string {w!r} not over the alphabet")
         if not isinstance(tail, (Present, Diverge)):
             raise KindError(f"bad output tail {tail!r}")
@@ -664,8 +658,6 @@ class Output(Instance):
 
     def returns(self, payload):
         return _CELL.returns(payload[1])
-
-    support = returns
 
     def join(self, payload, outs):
         if not outs:
@@ -700,7 +692,7 @@ class Output(Instance):
         return f"({payload[0] or 'ε'},{_CELL.render(payload[1])})"
 
     def random(self, kind, rng, carrier):
-        w = "".join(rng.choice(kind.alphabet)
+        w = "".join(rng.choice(kind.params)
                     for _ in range(rng.randint(0, 3)))
         if not carrier or rng.random() < 0.25:
             return (w, DIVERGE)
@@ -742,7 +734,7 @@ def stores(kind: MonadKind) -> list[tuple[int, ...]]:
     """All boolean stores of a state kind, in lexicographic order."""
     if not isinstance(INSTANCES[kind.tag], State):
         raise KindError("stores() only applies to the state monad")
-    return list(_stores(len(kind.locations)))
+    return list(_stores(len(kind.params)))
 
 
 def unit(kind: MonadKind, x) -> MonadValue:
@@ -804,8 +796,8 @@ def mass(mu: MonadValue) -> Fraction:
 def signature(kind: MonadKind) -> tuple[OpDescriptor, ...]:
     """The effect-triggering operations of an instance."""
     inst = INSTANCES[kind.tag]
-    return tuple(OpDescriptor(name, arity, kind, index)
-                 for name, (arity, _) in inst.ops.items()
+    return tuple(OpDescriptor(name, kind, index)
+                 for name in inst.ops
                  for index in inst.indices(kind, name))
 
 

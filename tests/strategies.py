@@ -55,7 +55,7 @@ def _state_values(kind, carrier):
 
 
 def _output_values(kind, carrier):
-    word = st.text(alphabet="".join(kind.alphabet), max_size=3)
+    word = st.text(alphabet="".join(kind.params), max_size=3)
     tail = st.one_of(st.none(), st.sampled_from(carrier))
     return st.tuples(word, tail).map(
         lambda wt: ed.MonadValue(
@@ -74,7 +74,7 @@ def values_for(kind, carrier=CARRIER):
     if tag == "exc":
         return st.one_of(
             st.just(ed.bottom(kind)),
-            st.sampled_from(kind.exceptions).map(
+            st.sampled_from(kind.params).map(
                 lambda e: ed.MonadValue(kind, ed.Raised(e))),
             st.sampled_from(carrier).map(lambda x: ed.unit(kind, x)))
     if tag == "set":

@@ -55,7 +55,7 @@ class TestEffectToOp:
 
 class TestOpToEffect:
     def test_print_effect(self):
-        print_c = ed.OpDescriptor("print", 1, OUTPUT, "a")
+        print_c = ed.OpDescriptor("print", OUTPUT, "a")
         eff = ed.op_to_effect(print_c)
         assert eff.arity == 1
         assert eff.body == ed.MonadValue(OUTPUT, ("a", ed.Present(1)))

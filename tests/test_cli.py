@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,20 @@ class TestEval:
                            "--exceptions", "boom,bust", "raise[bust]()")
         assert code == 0 and out == "raise bust"
 
+    @pytest.mark.parametrize("argv, code, text", [
+        (["-m", "output", "--alphabet", "01", "print[0](v)"], 0,
+         '("0", v)'),
+        (["-m", "state", "--locations", "0,1", "read[0](v, w)"], 0,
+         "{00 ↦ (v, 00), 01 ↦ (v, 01), 10 ↦ (w, 10), 11 ↦ (w, 11)}"),
+        (["-m", "exc", "--exceptions", "404", "raise[404]()"], 0,
+         "raise 404"),
+        (["-m", "state", "read[²](v, w)"], 3,
+         "signature error: unknown location '²'"),
+    ], ids=["alphabet", "locations", "exceptions", "superscript"])
+    def test_indices_written_with_digits(self, capsys, argv, code, text):
+        got, out, err = run(capsys, "eval", *argv)
+        assert got == code and text == (out if code == 0 else err)
+
     def test_custom_prelude(self, capsys, tmp_path):
         path = tmp_path / "prelude.lam"
         path.write_text("twice = \\f. \\x. f (f x)\n", encoding="utf-8")
@@ -80,6 +95,27 @@ class TestEval:
         path.write_text("foo = id\n", encoding="utf-8")
         code, out, _ = run(capsys, "eval", "--prelude", str(path), "foo v")
         assert code == 0 and out == "v"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """The ``effdiag eval|diagram ...  # <stdout>`` lines of the README's
+    CLI block, as (argv, stdout) pairs."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [(shlex.split(cmd)[1:], want.strip())
+            for cmd, _, want in (line.rpartition(" # ")
+                                 for line in block.splitlines())
+            if cmd.startswith(("effdiag eval ", "effdiag diagram "))]
+
+
+def test_readme_examples_print_what_they_say(capsys):
+    examples = readme_examples()
+    assert len(examples) == 5
+    for argv, want in examples:
+        assert run(capsys, *argv) == (0, want, ""), argv
 
 
 class TestDiagram:
@@ -199,6 +235,11 @@ class TestLaws:
     def test_unknown_law_errors(self, capsys):
         code, _, err = run(capsys, "laws", "--laws", "bogus")
         assert code == 1 and "unknown law" in err
+
+    def test_carrier_above_the_letters_errors(self, capsys):
+        code, _, err = run(capsys, "laws", "--laws", "kleisli", "--monads",
+                           "set", "--trials", "1", "--carrier-max", "9")
+        assert code == 1 and "carrier_size_max must be <= 5" in err
 
 
 KIND_TEXTS = {"--exceptions", "--locations", "--alphabet"}

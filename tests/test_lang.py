@@ -44,6 +44,24 @@ class TestParse:
         term = ed.parse("write[l0,1](v)", kind=STATE)
         assert term.op.index == ("l0", 1)
 
+    def test_bracket_entries_stay_text(self):
+        term = ed.parse("print[0](v)")
+        assert term.op.index == "0"
+        assert term.op.kind == ed.output_kind(("0",))
+        term = ed.parse("read[0](v, w)", kind=ed.state_kind(("0", "1")))
+        assert term.op.index == "0"
+
+    @pytest.mark.parametrize("bit, want", [
+        ("0", 0), ("1", 1), ("01", 1), ("2", None), ("x", None),
+        ("²", None)])
+    def test_write_bit_is_decimal_zero_or_one(self, bit, want):
+        src = f"write[l0,{bit}](v)"
+        if want is None:
+            with pytest.raises(ed.ParseError, match="write bit"):
+                ed.parse(src, kind=STATE)
+        else:
+            assert ed.parse(src, kind=STATE).op.index == ("l0", want)
+
     def test_seq_sugar(self):
         term = ed.parse("u ; w")
         assert isinstance(term, App)
@@ -95,6 +113,7 @@ class TestParse:
             "f (g h)",
             "choice(v, choice(w, w))",
             "print[a](\\x. x y)",
+            "print[0](v)",
             "write[l0,1](read[l1](v, w))",
             "raise[err]()",
         ]

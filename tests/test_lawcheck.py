@@ -5,6 +5,7 @@ import json
 import pytest
 
 import effectdiagrams as ed
+from effectdiagrams import gen
 from effectdiagrams.lawcheck import ALL_LAWS, EXPECTED_FAIL
 
 
@@ -22,6 +23,11 @@ class TestConfig:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             small_config(trials=0)
+
+    def test_carrier_bounded_by_the_letters(self):
+        small_config(carrier_size_max=len(gen.LETTERS))
+        with pytest.raises(ValueError):
+            small_config(carrier_size_max=len(gen.LETTERS) + 1)
 
     def test_empty_law_set_gives_empty_report(self):
         report = ed.run_law_suite(small_config(laws=()))

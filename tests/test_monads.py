@@ -1,5 +1,6 @@
 """Instance semantics: unit, bind, operations, support, order, bottom."""
 
+import dataclasses
 import inspect
 import itertools
 import random
@@ -117,7 +118,7 @@ class TestOpApply:
             assert lhs == rhs
 
     def test_print_prepends(self):
-        print_a = ed.OpDescriptor("print", 1, OUTPUT, "a")
+        print_a = ed.OpDescriptor("print", OUTPUT, "a")
         got = ed.op_apply(print_a, [out("b", ed.Present("v"))])
         assert got == out("ab", ed.Present("v"))
 
@@ -127,12 +128,12 @@ class TestOpApply:
             pset("a", "b")
 
     def test_raise(self):
-        raise_err = ed.OpDescriptor("raise", 0, EXC, "err")
+        raise_err = ed.OpDescriptor("raise", EXC, "err")
         assert ed.op_apply(raise_err, []) == ed.MonadValue(
             EXC, ed.Raised("err"))
 
     def test_read_branches_on_bit(self):
-        read = ed.OpDescriptor("read", 2, STATE, "l0")
+        read = ed.OpDescriptor("read", STATE, "l0")
         got = ed.op_apply(read, [ed.unit(STATE, "zero"),
                                  ed.unit(STATE, "one")])
         for store in ed.stores(STATE):
@@ -140,7 +141,7 @@ class TestOpApply:
             assert got.payload[store] == ed.Present((want, store))
 
     def test_write_updates_store(self):
-        write = ed.OpDescriptor("write", 1, STATE, ("l1", 1))
+        write = ed.OpDescriptor("write", STATE, ("l1", 1))
         got = ed.op_apply(write, [ed.unit(STATE, "v")])
         for store in ed.stores(STATE):
             assert got.payload[store] == ed.Present(
@@ -153,7 +154,7 @@ class TestOpApply:
 
     def test_bad_index(self):
         with pytest.raises(ed.KindError):
-            ed.op_apply(ed.OpDescriptor("print", 1, OUTPUT, "z"),
+            ed.op_apply(ed.OpDescriptor("print", OUTPUT, "z"),
                         [ed.unit(OUTPUT, "v")])
 
 
@@ -354,37 +355,39 @@ class TestValidation:
         with pytest.raises(ed.KindError):
             ed.output_kind(("ab",))
 
-    @pytest.mark.parametrize("tag, field", [
-        (tag, field) for tag, inst in ed.monads.INSTANCES.items()
-        for field in ("exceptions", "locations", "alphabet")
-        if field != inst.param])
-    def test_kind_rejects_fields_its_instance_does_not_read(self, tag, field):
-        with pytest.raises(ed.KindError, match=field):
-            ed.MonadKind(tag, **{field: ("a",)})
+    @pytest.mark.parametrize("tag", ["maybe", "set", "dist"])
+    def test_kind_rejects_params_its_instance_does_not_take(self, tag):
+        with pytest.raises(ed.KindError, match="takes no parameters"):
+            ed.MonadKind(tag, ("a",))
+
+    @pytest.mark.parametrize("cls, names", [
+        (ed.MonadKind, ("tag", "params")),
+        (ed.OpDescriptor, ("name", "kind", "index")),
+        (ed.MonadValue, ("kind", "payload")),
+    ])
+    def test_field_names(self, cls, names):
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
 
 
 class TestDescriptorValidation:
-    @pytest.mark.parametrize("name, arity, kind, index", [
-        ("union", 2, ed.DIST, None),
-        ("union", 3, ed.POWERSET, None),
-        ("choice", 2, ed.DIST, "a"),
-        ("raise", 0, EXC, "nope"),
-        ("raise", 1, EXC, "err"),
-        ("read", 2, STATE, "l9"),
-        ("write", 1, STATE, ("l0", 2)),
-        ("write", 1, STATE, "l0"),
-        ("print", 1, OUTPUT, "z"),
-        ("print", 1, ed.MAYBE, "a"),
+    @pytest.mark.parametrize("name, kind, index", [
+        ("union", ed.DIST, None),
+        ("choice", ed.DIST, "a"),
+        ("raise", EXC, "nope"),
+        ("read", STATE, "l9"),
+        ("write", STATE, ("l0", 2)),
+        ("write", STATE, "l0"),
+        ("print", OUTPUT, "z"),
+        ("print", ed.MAYBE, "a"),
     ])
-    def test_outside_signature_rejected(self, name, arity, kind, index):
+    def test_outside_signature_rejected(self, name, kind, index):
         with pytest.raises(ed.SignatureError):
-            ed.OpDescriptor(name, arity, kind, index)
+            ed.OpDescriptor(name, kind, index)
 
     def test_signature_descriptors_accepted(self):
         for kind in ALL_KINDS:
             for desc in ed.signature(kind):
-                assert ed.OpDescriptor(
-                    desc.name, desc.arity, kind, desc.index) == desc
+                assert ed.OpDescriptor(desc.name, kind, desc.index) == desc
 
     @pytest.mark.parametrize("src, kind, message", [
         ("choice(v, w)", ed.MAYBE,

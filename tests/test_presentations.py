@@ -263,13 +263,28 @@ class TestImmutability:
         (lambda: ed.LawSuiteConfig(laws=("kleisli",)), "trials", 0),
         (lambda: ed.run_law_suite(ed.LawSuiteConfig(
             trials=1, laws=("unit",), monads=(ed.MAYBE,))), "seed", 2),
+        (lambda: ed.unit(ed.DIST, "a"), "payload", {}),
     ], ids=["GenericEffect", "Presentation", "DerivedOperation",
             "check_commutative", "LawResult", "LawSuiteConfig",
-            "SuiteReport"])
+            "SuiteReport", "MonadValue"])
     def test_assignment_raises(self, make, field, value):
         obj = make()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, value)
+
+    @pytest.mark.parametrize("make, key, value", [
+        (lambda: ed.MonadValue(ed.DIST, {"x": F(1, 2)}), "y", F(3, 4)),
+        (lambda: ed.unit(ed.DIST, "x"), "x", F(1, 2)),
+        (lambda: ed.bottom(ed.state_kind(("l0",))), (0,), ed.DIVERGE),
+        (lambda: ed.MonadValue(ed.state_kind(("l0",)), {
+            (0,): ed.DIVERGE, (1,): ed.DIVERGE}), (1,), ed.DIVERGE),
+    ], ids=["dist", "dist-unit", "state-bottom", "state"])
+    def test_payload_item_assignment_raises(self, make, key, value):
+        mu = make()
+        before = dict(mu.payload)
+        with pytest.raises(TypeError):
+            mu.payload[key] = value
+        assert dict(mu.payload) == before
 
 
 # the keys and strings of the machine format, so that arbitrary JSON
