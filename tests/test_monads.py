@@ -355,10 +355,20 @@ class TestValidation:
         with pytest.raises(ed.KindError):
             ed.output_kind(("ab",))
 
-    @pytest.mark.parametrize("tag", ["maybe", "set", "dist"])
-    def test_kind_rejects_params_its_instance_does_not_take(self, tag):
+    # an instance without a parameter rejects the entries of each field
+    # another instance reads (exc's labels, state's locations, output's
+    # characters); the wrong-field state of exc, state and output cannot
+    # be built now that a kind has one params field
+    @pytest.mark.parametrize("tag, field", [
+        (tag, field) for tag, inst in ed.monads.INSTANCES.items()
+        if inst.param is None
+        for field in ("exceptions", "locations", "alphabet")])
+    def test_kind_rejects_fields_its_instance_does_not_read(self, tag, field):
+        owner = {"exceptions": EXC, "locations": STATE, "alphabet": OUTPUT}
+        params = owner[field].params
+        assert params and ed.monads.instance(owner[field].tag).param == field
         with pytest.raises(ed.KindError, match="takes no parameters"):
-            ed.MonadKind(tag, ("a",))
+            ed.MonadKind(tag, params)
 
     @pytest.mark.parametrize("cls, names", [
         (ed.MonadKind, ("tag", "params")),
