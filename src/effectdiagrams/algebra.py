@@ -14,6 +14,7 @@ violations, shrinking them and reporting them is ``lawcheck``'s job.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -21,7 +22,7 @@ from .monads import (ArityError, KindError, MonadKind, MonadValue, bind,
                      bottom, map_carrier, op_apply, signature, unit,
                      OpDescriptor)
 from .presentations import (ArityCapError, GenericEffect, MAX_ARITY,
-                            Presentation)
+                            Presentation, _trusted_effect)
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,12 @@ def op_to_effect(op: Union[DerivedOperation, OpDescriptor]) -> GenericEffect:
 
 def trivial_effect(kind: MonadKind) -> GenericEffect:
     """The neutral effect for composition: return index 1, do nothing."""
-    return GenericEffect(1, unit(kind, 1))
+    return _trusted_effect(1, unit(kind, 1))
 
 
 def bottom_effect(kind: MonadKind, arity: int = 0) -> GenericEffect:
     """The least effect at any arity; all of them interpret to bottom."""
-    return GenericEffect(arity, bottom(kind))
+    return _trusted_effect(arity, bottom(kind))
 
 
 def seq_compose(xi: Presentation,
@@ -87,11 +88,8 @@ def seq_compose(xi: Presentation,
         if member.kind != kind:
             raise KindError(
                 f"family member of kind {member.kind.tag} under {kind.tag}")
-    offsets = []
-    total = 0
-    for member in family:
-        offsets.append(total)
-        total += member.effect.arity
+    *offsets, total = itertools.accumulate(
+        (member.effect.arity for member in family), initial=0)
     if total > MAX_ARITY:
         raise ArityCapError(
             f"composite arity {total} exceeds the cap of {MAX_ARITY}")
@@ -103,7 +101,7 @@ def seq_compose(xi: Presentation,
 
     body = bind(xi.effect.body, block)
     row = tuple(x for member in family for x in member.row)
-    return Presentation(GenericEffect(total, body), row)
+    return Presentation(_trusted_effect(total, body), row)
 
 
 def algebraic_violation(op: DerivedOperation, args: Sequence[MonadValue],

@@ -14,7 +14,7 @@ import random
 from typing import Callable, Optional, Sequence
 
 from .monads import INSTANCES, MonadKind, MonadValue, _trusted
-from .presentations import GenericEffect, Presentation
+from .presentations import GenericEffect, Presentation, _trusted_effect
 
 LETTERS = ("a", "b", "c", "d", "e")
 
@@ -31,7 +31,7 @@ def random_effect(kind: MonadKind, rng: random.Random,
     """A random generic effect of bounded arity."""
     n = rng.randint(0, max_arity)
     body = random_value(kind, rng, carrier=range(1, n + 1))
-    return GenericEffect(n, body)
+    return _trusted_effect(n, body)
 
 
 def random_presentation(kind: MonadKind, rng: random.Random,

@@ -220,15 +220,23 @@ _PUNCT = "\\.()[],;"
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
     i, n = 0, len(src)
+    bracket = False
     while i < n:
         c = src[i]
         if c in " \t\r\n":
             i += 1
+        elif bracket and c not in ",]":
+            # a bracket entry is any text up to whitespace, "," or "]"
+            start = i
+            while i < n and src[i] not in " \t\r\n,]":
+                i += 1
+            tokens.append(("index", src[start:i], start))
         elif c == "#":
             while i < n and src[i] != "\n":
                 i += 1
         elif c in _PUNCT:
             tokens.append(("punct", c, i))
+            bracket = c == "[" or bracket and c != "]"
             i += 1
         elif c.isdigit():
             start = i
@@ -323,11 +331,9 @@ class _Parser:
             self.next()
             while True:
                 ityp, itext, ipos = self.next()
-                # text: labels, locations and characters may be digits
-                if ityp in ("ident", "number"):
-                    indices.append(itext)
-                else:
+                if ityp != "index":
                     raise ParseError(f"bad index {itext!r}", ipos)
+                indices.append(itext)
                 ttyp, ttext, tpos = self.next()
                 if ttyp == "punct" and ttext == "]":
                     break
@@ -462,8 +468,8 @@ def parse_defs(src: str, kind: Optional[MonadKind] = None) -> dict:
     """
     defs: dict = {}
     for raw in src.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         name, eq, rhs = line.partition("=")
         name = name.strip()

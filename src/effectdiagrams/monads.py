@@ -289,6 +289,10 @@ class Maybe(Instance):
     def returns(self, payload):
         return [payload.value] if isinstance(payload, Present) else []
 
+    def map(self, payload, g):
+        return Present(g(payload.value)) if isinstance(payload, Present) \
+            else payload
+
     def join(self, payload, outs):
         return outs[0] if outs else payload
 
@@ -385,6 +389,9 @@ class Powerset(Instance):
     def bottom(self, kind):
         return frozenset()
 
+    def map(self, payload, g):
+        return frozenset(map(g, payload))
+
     def join(self, payload, outs):
         return frozenset().union(*outs)
 
@@ -442,6 +449,13 @@ class Dist(Instance):
 
     def bottom(self, kind):
         return {}
+
+    def map(self, payload, g):
+        acc: dict = {}
+        for x, p in payload.items():
+            y = g(x)
+            acc[y] = acc.get(y, 0) + p
+        return acc
 
     def join(self, payload, outs):
         acc: dict = {}
@@ -548,6 +562,12 @@ class State(Instance):
     def returns(self, payload):
         return list(dict.fromkeys(cell.value[0] for cell in payload.values()
                                   if isinstance(cell, Present)))
+
+    def map(self, payload, g):
+        image = {x: g(x) for x in self.returns(payload)}
+        return {s: Present((image[c.value[0]], c.value[1]))
+                if isinstance(c, Present) else DIVERGE
+                for s, c in payload.items()}
 
     def join(self, payload, outs):
         # one continuation result per returned element, shared by every
@@ -659,6 +679,9 @@ class Output(Instance):
     def returns(self, payload):
         return _CELL.returns(payload[1])
 
+    def map(self, payload, g):
+        return (payload[0], _CELL.map(payload[1], g))
+
     def join(self, payload, outs):
         if not outs:
             return payload
@@ -762,7 +785,8 @@ def bind(mu: MonadValue, f: Callable[[Any], MonadValue]) -> MonadValue:
     outs = []
     for x in inst.returns(mu.payload):
         out = f(x)
-        if not isinstance(out, MonadValue) or out.kind != kind:
+        if not isinstance(out, MonadValue) or \
+                out.kind is not kind and out.kind != kind:
             raise KindError(
                 "bind continuation produced a value of another kind")
         outs.append(out.payload)
@@ -770,8 +794,11 @@ def bind(mu: MonadValue, f: Callable[[Any], MonadValue]) -> MonadValue:
 
 
 def map_carrier(mu: MonadValue, g: Callable[[Any], Any]) -> MonadValue:
-    """Functorial action: relabel every returned carrier element by ``g``."""
-    return bind(mu, lambda x: unit(mu.kind, g(x)))
+    """Functorial action: relabel every returned carrier element by ``g``.
+
+    Equals ``bind(mu, lambda x: unit(mu.kind, g(x)))`` and calls ``g`` in
+    the same order, but the instance's ``map`` builds it unchecked."""
+    return _trusted(mu.kind, INSTANCES[mu.kind.tag].map(mu.payload, g))
 
 
 def support(mu: MonadValue) -> list:

@@ -25,19 +25,27 @@ class ArityCapError(ValueError):
     """A presentation or composition exceeded the configured arity cap."""
 
 
+def _check_arity(arity) -> None:
+    if not isinstance(arity, int) or isinstance(arity, bool):
+        raise TypeError(f"arity must be an int, got {arity!r}")
+    if arity < 0:
+        raise ValueError(f"negative arity {arity}")
+    if arity > MAX_ARITY:
+        raise ArityCapError(f"arity {arity} exceeds the cap of {MAX_ARITY}")
+
+
 @dataclass(frozen=True)
 class GenericEffect:
-    """The effect part: a monadic value over the index set ``{1, .., n}``."""
+    """The effect part: a monadic value over the index set ``{1, .., n}``.
+
+    A non-``int`` arity raises ``TypeError``, one above ``MAX_ARITY``
+    ``ArityCapError``, a negative one or a wider body ``ValueError``."""
 
     arity: int
     body: MonadValue
 
     def __post_init__(self):
-        if not 0 <= self.arity:
-            raise ValueError(f"negative arity {self.arity}")
-        if self.arity > MAX_ARITY:
-            raise ArityCapError(
-                f"arity {self.arity} exceeds the cap of {MAX_ARITY}")
+        _check_arity(self.arity)
         indices = set(range(1, self.arity + 1))
         if not set(support(self.body)) <= indices:
             raise ValueError(
@@ -46,6 +54,15 @@ class GenericEffect:
     @property
     def kind(self) -> MonadKind:
         return self.body.kind
+
+
+def _trusted_effect(arity: int, body: MonadValue) -> GenericEffect:
+    """An effect whose body lives over ``1..arity`` by construction:
+    the arity is checked as ``GenericEffect`` does, the support is not."""
+    _check_arity(arity)
+    eff = object.__new__(GenericEffect)
+    eff.__dict__.update(arity=arity, body=body)
+    return eff
 
 
 @dataclass(frozen=True)
@@ -83,7 +100,7 @@ def decompose(mu: MonadValue) -> Presentation:
     elems = support(mu)
     index = {x: i + 1 for i, x in enumerate(elems)}
     body = map_carrier(mu, lambda x: index[x])
-    return Presentation(GenericEffect(len(elems), body), tuple(elems))
+    return Presentation(_trusted_effect(len(elems), body), tuple(elems))
 
 
 def diagram_eq(xi: Presentation, rho: Presentation) -> bool:
@@ -125,12 +142,9 @@ def extend(pres: Presentation, iota: Sequence[int], m: int,
         raise ValueError(
             f"fill has {len(fill)} entries, expected {len(missing)}")
     body = map_carrier(pres.effect.body, lambda i: iota[i - 1])
-    row = [None] * m
-    for i, target in enumerate(iota):
-        row[target - 1] = pres.row[i]
-    for pos, value in zip(missing, fill):
-        row[pos - 1] = value
-    return Presentation(GenericEffect(m, body), tuple(row))
+    slot = dict(zip((*iota, *missing), (*pres.row, *fill)))
+    row = tuple(slot[p] for p in range(1, m + 1))
+    return Presentation(_trusted_effect(m, body), row)
 
 
 def _effect_text(eff: GenericEffect) -> str:

@@ -85,6 +85,17 @@ class TestEval:
         got, out, err = run(capsys, "eval", *argv)
         assert got == code and text == (out if code == 0 else err)
 
+    @pytest.mark.parametrize("argv, text", [
+        (["-m", "output", "--alphabet=-a", "print[-](v)"], '("-", v)'),
+        (["-m", "exc", "--exceptions", "not-found", "raise[not-found]()"],
+         "raise not-found"),
+        (["-m", "state", "--locations", "l.0", "read[ l.0 ](v, w)"],
+         "{0 ↦ (v, 0), 1 ↦ (w, 1)}"),
+    ], ids=["alphabet", "exceptions", "locations"])
+    def test_bracket_entries_need_not_be_identifiers(self, capsys, argv,
+                                                      text):
+        assert run(capsys, "eval", *argv) == (0, text, "")
+
     def test_custom_prelude(self, capsys, tmp_path):
         path = tmp_path / "prelude.lam"
         path.write_text("twice = \\f. \\x. f (f x)\n", encoding="utf-8")
@@ -194,6 +205,16 @@ class TestCompose:
         write_presentation(p1, trivial_member(ed.MAYBE, "x"))
         code, _, _ = run(capsys, "compose", str(p0), str(p1))
         assert code == 3
+
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_boolean_arity_exit_3(self, capsys, tmp_path, fmt):
+        path = tmp_path / "bool-arity.json"
+        path.write_text('{"effect":{"arity":true,"body":{"kind":"maybe",'
+                        '"value":1}},"row":["a"]}', encoding="utf-8")
+        code, out, err = run(capsys, "compose", "--format", fmt,
+                             str(path), str(path))
+        assert code == 3 and out == "" and "arity" in err
 
 
 class TestLaws:

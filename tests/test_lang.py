@@ -114,6 +114,8 @@ class TestParse:
             "choice(v, choice(w, w))",
             "print[a](\\x. x y)",
             "print[0](v)",
+            "print[-](v)",
+            "raise[not-found]()",
             "write[l0,1](read[l1](v, w))",
             "raise[err]()",
         ]
@@ -358,6 +360,11 @@ class TestPrelude:
         got = ed.evaluate(
             ed.parse("twice id v", defs={**DEFS, **defs}), ed.MAYBE, 10)
         assert got == ed.unit(ed.MAYBE, Var("v"))
+
+    def test_prelude_bracket_entries_and_comments(self):
+        defs = ed.parse_defs("# a comment line\n"
+                             "p = print[#](v)  # a comment = after a term\n")
+        assert defs == {"p": ed.parse("print[#](v)")}
 
 
 def _outcome(evaluate, term, kind, fuel):

@@ -87,6 +87,14 @@ class TestBind:
             ed.bind(ed.unit(ed.MAYBE, "v"), lambda x: ed.unit(ed.DIST, x))
 
 
+# an injective relabelling and one that merges "a" with "b"
+RELABELS = {
+    "rename": str.upper,
+    "merge": {"a": "x", "b": "x", "c": "y", "A": "x", "B": "x", "C": "y",
+              "x": "y", "y": "y"}.__getitem__,
+}
+
+
 class TestMapCarrier:
     def test_maybe(self):
         got = ed.map_carrier(ed.unit(ed.MAYBE, "a"), lambda _: "b")
@@ -98,6 +106,31 @@ class TestMapCarrier:
 
     def test_set_image(self):
         assert ed.map_carrier(pset("a", "b"), lambda _: "c") == pset("c")
+
+    def test_every_instance_maps_without_a_base_default(self):
+        assert not hasattr(ed.monads.Instance, "map")
+        for inst in ed.monads.INSTANCES.values():
+            assert callable(inst.map)
+
+    @given(kind_and_value(), st.sampled_from(sorted(RELABELS)))
+    @settings(max_examples=150)
+    def test_agrees_with_bind_and_is_a_functor(self, kv, which):
+        kind, mu = kv
+        g = RELABELS[which]
+        by_map, by_bind = [], []
+        got = ed.map_carrier(mu, lambda x: by_map.append(x) or g(x))
+        want = ed.bind(mu, lambda x: by_bind.append(x) or ed.unit(kind, g(x)))
+        # the same value, with g called in the same order and the same
+        # dict order, so that later seeded draws over it do not change
+        assert got == want and by_map == by_bind
+        assert repr(got.payload) == repr(want.payload)
+        canon = ed.monads._normalise(kind, got.payload)
+        assert canon == got.payload and type(canon) is type(got.payload)
+        assert repr(canon) == repr(got.payload)
+        assert ed.map_carrier(mu, lambda x: x) == mu
+        h = RELABELS["merge"]
+        assert ed.map_carrier(ed.map_carrier(mu, g), h) == \
+            ed.map_carrier(mu, lambda x: h(g(x)))
 
 
 class TestOpApply:

@@ -246,6 +246,38 @@ class TestGenericEffectInvariants:
         with pytest.raises(ValueError):
             ed.GenericEffect(1, ed.unit(ed.DIST, 5))
 
+    @pytest.mark.parametrize("arity", [True, False, 1.0, "1", None])
+    def test_arity_must_be_an_int(self, arity):
+        body = ed.bottom(ed.MAYBE)
+        with pytest.raises(TypeError):
+            ed.GenericEffect(arity, body)
+        with pytest.raises(TypeError):
+            ed.bottom_effect(ed.MAYBE, arity)
+
+    def test_internal_builders_check_the_arity(self):
+        with pytest.raises(ValueError):
+            ed.bottom_effect(ed.MAYBE, -1)
+        with pytest.raises(ed.ArityCapError):
+            ed.decompose(ed.MonadValue(ed.POWERSET, frozenset(range(65))))
+        with pytest.raises(ed.ArityCapError):
+            ed.extend(pres(ed.trivial_effect(ed.MAYBE), "a"), (1,), 65,
+                      ["b"] * 64)
+
+    @given(kind_and_value(), st.integers(0, 2 ** 32))
+    @settings(max_examples=60)
+    def test_internal_builders_give_valid_effects(self, kv, seed):
+        # what the unchecked path builds passes the checked constructor
+        kind, mu = kv
+        xi = ed.decompose(mu)
+        rng = random.Random(seed)
+        effects = [xi.effect, ed.trivial_effect(kind),
+                   ed.bottom_effect(kind, 3), gen.random_effect(kind, rng),
+                   ed.extend(xi, range(2, xi.effect.arity + 2),
+                             xi.effect.arity + 1, ["z"]).effect,
+                   ed.seq_compose(xi, [xi] * xi.effect.arity).effect]
+        for eff in effects:
+            assert ed.GenericEffect(eff.arity, eff.body) == eff
+
     def test_row_length_checked(self):
         with pytest.raises(ValueError):
             ed.Presentation(ed.trivial_effect(ed.DIST), ("x", "y"))
@@ -264,9 +296,14 @@ class TestImmutability:
         (lambda: ed.run_law_suite(ed.LawSuiteConfig(
             trials=1, laws=("unit",), monads=(ed.MAYBE,))), "seed", 2),
         (lambda: ed.unit(ed.DIST, "a"), "payload", {}),
+        (lambda: ed.trivial_effect(ed.DIST), "body", None),
+        (lambda: ed.decompose(ed.unit(ed.DIST, "a")).effect, "arity", 2),
+        (lambda: gen.random_effect(ed.DIST, random.Random(0)), "body",
+         None),
     ], ids=["GenericEffect", "Presentation", "DerivedOperation",
             "check_commutative", "LawResult", "LawSuiteConfig",
-            "SuiteReport", "MonadValue"])
+            "SuiteReport", "MonadValue", "trivial_effect",
+            "decompose-effect", "random_effect"])
     def test_assignment_raises(self, make, field, value):
         obj = make()
         with pytest.raises(dataclasses.FrozenInstanceError):
