@@ -22,7 +22,8 @@ from .monads import (ArityError, KindError, MonadKind, MonadValue, bind,
                      bottom, map_carrier, op_apply, signature, unit,
                      OpDescriptor)
 from .presentations import (ArityCapError, GenericEffect, MAX_ARITY,
-                            Presentation, _trusted_effect)
+                            Presentation, _trusted_effect,
+                            _trusted_presentation)
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,8 @@ def seq_compose(xi: Presentation,
         return map_carrier(member.effect.body, lambda j: j + shift)
 
     body = bind(xi.effect.body, block)
-    row = tuple(x for member in family for x in member.row)
-    return Presentation(_trusted_effect(total, body), row)
+    row = tuple([x for member in family for x in member.row])
+    return _trusted_presentation(_trusted_effect(total, body), row)
 
 
 def algebraic_violation(op: DerivedOperation, args: Sequence[MonadValue],

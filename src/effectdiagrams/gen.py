@@ -14,7 +14,8 @@ import random
 from typing import Callable, Optional, Sequence
 
 from .monads import INSTANCES, MonadKind, MonadValue, _trusted
-from .presentations import GenericEffect, Presentation, _trusted_effect
+from .presentations import (GenericEffect, Presentation, _trusted_effect,
+                            _trusted_presentation)
 
 LETTERS = ("a", "b", "c", "d", "e")
 
@@ -39,8 +40,8 @@ def random_presentation(kind: MonadKind, rng: random.Random,
                         max_arity: int = 4) -> Presentation:
     """A random presentation; rows may repeat carrier elements."""
     eff = random_effect(kind, rng, max_arity=max_arity)
-    row = tuple(rng.choice(list(carrier)) for _ in range(eff.arity))
-    return Presentation(eff, row)
+    row = tuple([rng.choice(list(carrier)) for _ in range(eff.arity)])
+    return _trusted_presentation(eff, row)
 
 
 def random_kleisli(kind: MonadKind, rng: random.Random,

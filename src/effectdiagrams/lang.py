@@ -35,6 +35,7 @@ arguments can change the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .algebra import seq_compose
@@ -85,8 +86,7 @@ class Abs(Term):
     _fv: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_fv",
-                           free_vars(self.body) - {self.param})
+        object.__setattr__(self, "_fv", free_vars(self.body) - {self.param})
 
     def __str__(self):
         return f"\\{self.param}. {self.body}"
@@ -125,9 +125,8 @@ class Op(Term):
             *map(free_vars, self.args)))
 
     def __str__(self):
-        name = self.op.name
-        if self.op.index is not None:
-            idx = self.op.index
+        name, idx = self.op.name, self.op.index
+        if idx is not None:
             shown = f"{idx[0]},{idx[1]}" if isinstance(idx, tuple) else str(idx)
             name = f"{name}[{shown}]"
         return f"{name}({', '.join(str(a) for a in self.args)})"
@@ -159,30 +158,32 @@ def substitute(term: Term, name: str, replacement: Term) -> Term:
 
     Bound variables that would capture a free variable of the
     replacement are renamed first.  Subterms in which ``name`` is not
-    free are returned as they are, not copied.
+    free are returned as they are, not copied.  Makes no reference cycle.
     """
     fv_repl = free_vars(replacement)
-
-    def go(t: Term) -> Term:
-        if name not in t._fv:
-            return t
-        if isinstance(t, Var):
-            return replacement
-        if isinstance(t, Abs):
-            # name is free in t, so it is not t.param and is free in the body
-            if t.param in fv_repl:
-                taken = fv_repl | t.body._fv | {name}
-                fresh = _fresh(t.param, taken)
-                renamed = substitute(t.body, t.param, Var(fresh))
-                return Abs(fresh, go(renamed))
-            return Abs(t.param, go(t.body))
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        return Op(t.op, tuple(go(a) for a in t.args))
-
     if name not in free_vars(term):
         return term
-    return go(term)
+    return _subst(term, name, replacement, fv_repl)
+
+
+def _subst(t: Term, name: str, replacement: Term, fv_repl: frozenset) -> Term:
+    if name not in t._fv:
+        return t
+    if isinstance(t, Var):
+        return replacement
+    if isinstance(t, Abs):
+        # name is free in t, so it is not t.param and is free in the body
+        if t.param in fv_repl:
+            taken = fv_repl | t.body._fv | {name}
+            fresh = _fresh(t.param, taken)
+            renamed = substitute(t.body, t.param, Var(fresh))
+            return Abs(fresh, _subst(renamed, name, replacement, fv_repl))
+        return Abs(t.param, _subst(t.body, name, replacement, fv_repl))
+    if isinstance(t, App):
+        return App(_subst(t.fn, name, replacement, fv_repl),
+                   _subst(t.arg, name, replacement, fv_repl))
+    return Op(t.op, tuple([_subst(a, name, replacement, fv_repl)
+                           for a in t.args]))
 
 
 # operation name -> the instance whose signature holds it
@@ -481,6 +482,9 @@ def parse_defs(src: str, kind: Optional[MonadKind] = None) -> dict:
     return defs
 
 
-def default_defs() -> dict:
-    """The parsed ``DEFAULT_PRELUDE``; it uses no operation, so no kind."""
-    return parse_defs(DEFAULT_PRELUDE)
+_DEFAULT_DEFS = MappingProxyType(parse_defs(DEFAULT_PRELUDE))
+
+
+def default_defs() -> Mapping[str, Term]:
+    """``DEFAULT_PRELUDE`` parsed once, as one read-only mapping."""
+    return _DEFAULT_DEFS

@@ -429,7 +429,7 @@ def _law_bottom(kind, rng, cfg):
     if not leq(bot, mu):
         return {"rule": "least", "mu": mu}
     n = rng.randint(0, cfg.arity_max)
-    row = tuple(rng.choice(carrier) for _ in range(n))
+    row = tuple([rng.choice(carrier) for _ in range(n)])
     if interpret(Presentation(bottom_effect(kind, n), row)) != bot:
         return {"rule": "collapse", "arity": n, "row": list(row)}
     family = [gen.random_presentation(kind, rng, carrier, max_arity=2)

@@ -61,7 +61,9 @@ def canonical_key(x):
     if isinstance(x, str):
         return (1, x)
     if isinstance(x, tuple):
-        return (2, tuple(canonical_key(v) for v in x))
+        # hot tuples are built from lists: tuple(<generator>) is resized, so
+        # it is freed to another size's free list, emptied only by full gc
+        return (2, tuple([canonical_key(v) for v in x]))
     return (3, type(x).__name__, str(x))
 
 
@@ -515,7 +517,7 @@ def _bits(store) -> str:
 def _store_from_str(text: str, width: int):
     if len(text) != width or any(c not in "01" for c in text):
         raise KindError(f"bad serialized store {text!r}")
-    return tuple(int(c) for c in text)
+    return tuple([int(c) for c in text])
 
 
 class State(Instance):

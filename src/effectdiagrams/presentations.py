@@ -84,6 +84,13 @@ class Presentation:
         return self.effect.kind
 
 
+def _trusted_presentation(effect: GenericEffect, row: tuple) -> Presentation:
+    """A presentation whose row is a tuple of ``effect.arity`` entries."""
+    pres = object.__new__(Presentation)
+    pres.__dict__.update(effect=effect, row=row)
+    return pres
+
+
 def interpret(pres: Presentation) -> MonadValue:
     """Collapse a presentation into the monadic value it denotes."""
     row = pres.row
@@ -97,10 +104,10 @@ def decompose(mu: MonadValue) -> Presentation:
     deterministic, duplicate-free and exactly ``interpret``-inverse:
     ``interpret(decompose(mu)) == mu``.
     """
-    elems = support(mu)
+    elems = tuple(support(mu))
     index = {x: i + 1 for i, x in enumerate(elems)}
     body = map_carrier(mu, lambda x: index[x])
-    return Presentation(_trusted_effect(len(elems), body), tuple(elems))
+    return _trusted_presentation(_trusted_effect(len(elems), body), elems)
 
 
 def diagram_eq(xi: Presentation, rho: Presentation) -> bool:
@@ -143,8 +150,8 @@ def extend(pres: Presentation, iota: Sequence[int], m: int,
             f"fill has {len(fill)} entries, expected {len(missing)}")
     body = map_carrier(pres.effect.body, lambda i: iota[i - 1])
     slot = dict(zip((*iota, *missing), (*pres.row, *fill)))
-    row = tuple(slot[p] for p in range(1, m + 1))
-    return Presentation(_trusted_effect(m, body), row)
+    row = tuple([slot[p] for p in range(1, m + 1)])
+    return _trusted_presentation(_trusted_effect(m, body), row)
 
 
 def _effect_text(eff: GenericEffect) -> str:
@@ -177,7 +184,7 @@ def from_obj(obj: dict) -> Presentation:
         eff = obj["effect"]
         effect = GenericEffect(eff["arity"], serialize.from_obj(eff["body"]))
         return Presentation(
-            effect, tuple(serialize.value_from_obj(x) for x in obj["row"]))
+            effect, tuple([serialize.value_from_obj(x) for x in obj["row"]]))
     except (KindError, ArityCapError):
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, machine round trips."""
 
 import argparse
+import gc
 import json
 import os
 import shlex
@@ -347,3 +348,36 @@ class TestParser:
             fresh.append((done.returncode, done.stdout, done.stderr))
         assert [r[0] for r in in_process] == [0, 0, 0, 2, 0]
         assert in_process == fresh
+
+
+CYCLE_FREE = [
+    *[[command, "-m", tag, "-f", "40", program]
+      for command in ("eval", "diagram")
+      for tag, program in (
+          ("dist", "three (\\x. choice(x, w)) v"),
+          ("set", "Z (\\f. \\n. union(n, f n)) v ; three id v"),
+          ("state", "three (\\x. read[l0](write[l1,1](x), x)) v"),
+          ("output",
+           "three (\\x. print[a](x)) v ; Z (\\f. \\x. print[b](f x)) v"))],
+    ["compose", "{dir}/outer.json", "{dir}/left.json", "{dir}/right.json"],
+    ["laws", "--trials", "1"],
+]
+
+
+def test_successful_requests_make_no_reference_cycles(capsys, workdir):
+    # a cycle outlives its request until the cycle collector runs, and
+    # every collection it triggers is work no request asked for
+    argvs = [[a.replace("{dir}", str(workdir)) for a in argv]
+             for argv in CYCLE_FREE]
+    for argv in argvs:  # warm-up: lazily built caches are not per request
+        main(argv)
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [main(argv) for argv in argvs]
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert codes == [0] * len(argvs)
+    assert found == 0

@@ -278,6 +278,20 @@ class TestGenericEffectInvariants:
         for eff in effects:
             assert ed.GenericEffect(eff.arity, eff.body) == eff
 
+    @given(kind_and_value(), st.integers(0, 2 ** 32))
+    @settings(max_examples=60)
+    def test_internal_builders_give_valid_presentations(self, kv, seed):
+        # what the unchecked path builds passes the checked constructor
+        kind, mu = kv
+        xi = ed.decompose(mu)
+        n = xi.effect.arity
+        built = [xi, ed.extend(xi, range(2, n + 2), n + 1, ["z"]),
+                 ed.seq_compose(xi, [xi] * n),
+                 gen.random_presentation(kind, random.Random(seed))]
+        for p in built:
+            assert type(p.row) is tuple
+            assert ed.Presentation(p.effect, p.row) == p
+
     def test_row_length_checked(self):
         with pytest.raises(ValueError):
             ed.Presentation(ed.trivial_effect(ed.DIST), ("x", "y"))
@@ -300,14 +314,22 @@ class TestImmutability:
         (lambda: ed.decompose(ed.unit(ed.DIST, "a")).effect, "arity", 2),
         (lambda: gen.random_effect(ed.DIST, random.Random(0)), "body",
          None),
+        (lambda: ed.decompose(ed.unit(ed.DIST, "a")), "row", ("b",)),
     ], ids=["GenericEffect", "Presentation", "DerivedOperation",
             "check_commutative", "LawResult", "LawSuiteConfig",
             "SuiteReport", "MonadValue", "trivial_effect",
-            "decompose-effect", "random_effect"])
+            "decompose-effect", "random_effect", "decompose"])
     def test_assignment_raises(self, make, field, value):
         obj = make()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, value)
+
+    def test_default_prelude_is_one_read_only_mapping(self):
+        defs = ed.default_defs()
+        assert defs is ed.default_defs()
+        with pytest.raises(TypeError):
+            defs["id"] = defs["OMEGA"]
+        assert str(defs["id"]) == "\\x. x"
 
     @pytest.mark.parametrize("make, key, value", [
         (lambda: ed.MonadValue(ed.DIST, {"x": F(1, 2)}), "y", F(3, 4)),
