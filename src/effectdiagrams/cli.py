@@ -10,9 +10,10 @@ Programs are given literally or as ``@path``.  Exit codes: 0 on
 success; 1 for unmet law expectations, a stuck evaluation, an arity
 above the cap or an unreadable file; 2 for a syntax error or bad
 command-line arguments; 3 for an operation that does not fit the chosen
-monad or malformed machine JSON; 4 for a composition arity mismatch;
-5 when the input or its evaluation nests too deeply for the recursion
-limit.  Each error is one line on stderr.
+monad (``signature error``), or a bad kind or malformed machine JSON
+(``kind error``); 4 for a composition arity mismatch; 5 when the input
+or its evaluation nests too deeply for the recursion limit.  Each error
+is one line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .lang import (DEFAULT_PRELUDE, EvalError, ParseError, default_defs,
                    eval_diagram, evaluate, parse, parse_defs)
 from .lawcheck import ALL_LAWS, LawSuiteConfig, run_law_suite
 from .algebra import seq_compose
-from .monads import ArityError, KNOWN_TAGS, KindError, instance
+from .monads import (ArityError, KNOWN_TAGS, KindError, SignatureError,
+                     instance)
 from .presentations import ArityCapError, render
 
 
@@ -179,7 +181,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except KindError as exc:
-        print(f"signature error: {exc}", file=sys.stderr)
+        label = "signature" if isinstance(exc, SignatureError) else "kind"
+        print(f"{label} error: {exc}", file=sys.stderr)
         return 3
     except (EvalError, ArityCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

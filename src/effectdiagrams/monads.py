@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -431,17 +432,47 @@ class Powerset(Instance):
                 for combo in itertools.combinations(carrier, k)]
 
 
+def _fsum(ps: list) -> Fraction:
+    """The exact sum of ``Fraction``s: integer numerators over the lcm of
+    the denominators, reduced once (Knuth, TAOCP Vol. 2, 4.5.1)."""
+    d = lcm(*[p.denominator for p in ps])
+    return Fraction(sum([p.numerator * (d // p.denominator) for p in ps]), d)
+
+
+def _probability_from_obj(text) -> Fraction:
+    """A serialized probability: a string ``"n"`` or ``"p/q"`` of ASCII
+    digits with ``q > 0``; anything else raises ``ValueError``."""
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        den = den if slash else "1"
+        if num.isascii() and num.isdigit() and den.isascii() and \
+                den.isdigit() and int(den):
+            return Fraction(int(num), int(den))
+    raise ValueError(f'probability {text!r} is not a string "n" or "p/q" '
+                     f'of digits with q > 0')
+
+
+# the fair coin that choice binds over its two arguments
+_HALVES = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+
+
 class Dist(Instance):
     tag = "dist"
     ops = {"choice": (2, 0)}
 
     def normalise(self, kind, payload):
-        entries = {x: Fraction(p) for x, p in dict(payload).items()}
-        for x, p in entries.items():
+        entries = {}
+        for x, p in dict(payload).items():
+            if type(p) is not Fraction:
+                if isinstance(p, bool) or not isinstance(p, (int, Fraction)):
+                    raise KindError(f"probability {p!r} for {x!r} is not "
+                                    f"an int or a Fraction")
+                p = Fraction(p)
             if p < 0:
                 raise KindError(f"negative probability {p} for {x!r}")
-        entries = {x: p for x, p in entries.items() if p}
-        total = sum(entries.values(), Fraction(0))
+            if p:
+                entries[x] = p
+        total = _fsum(list(entries.values()))
         if total > 1:
             raise KindError(f"total mass {total} exceeds 1")
         return entries
@@ -453,32 +484,51 @@ class Dist(Instance):
         return {}
 
     def map(self, payload, g):
+        # an image with one preimage keeps its Fraction; colliding ones
+        # are summed once each
         acc: dict = {}
+        clash: dict = {}
         for x, p in payload.items():
             y = g(x)
-            acc[y] = acc.get(y, 0) + p
+            if y in acc:
+                clash.setdefault(y, [acc[y]]).append(p)
+            else:
+                acc[y] = p
+        for y, ps in clash.items():
+            acc[y] = _fsum(ps)
         return acc
 
     def join(self, payload, outs):
+        # sum_i p_i * q_ij as an integer numerator over the lcm of its
+        # terms' denominators, one Fraction per result element
         acc: dict = {}
         for p, out in zip(payload.values(), outs):
+            a, b = p.numerator, p.denominator
             for y, q in out.items():
-                acc[y] = acc.get(y, 0) + p * q
-        return acc
+                n, d = a * q.numerator, b * q.denominator
+                if y in acc:
+                    m, e = acc[y]
+                    if d == e:
+                        n += m
+                    else:
+                        lcd = lcm(d, e)
+                        n, d = n * (lcd // d) + m * (lcd // e), lcd
+                acc[y] = (n, d)
+        return {y: Fraction(n, d) for y, (n, d) in acc.items()}
 
     def leq(self, a, b):
         return all(p <= b.get(x, 0) for x, p in a.items())
 
     def apply(self, kind, name, index, args):
-        # fair choice: a fair coin bound over the two arguments
-        return self.join({0: Fraction(1, 2), 1: Fraction(1, 2)}, args)
+        return self.join(_HALVES, args)
 
     def to_obj(self, payload):
         return {"entries": [[value_to_obj(x), str(payload[x])]
                             for x in self.support(payload)]}
 
     def from_obj(self, kind, obj):
-        return {value_from_obj(x): Fraction(p) for x, p in obj["entries"]}
+        return {value_from_obj(x): _probability_from_obj(p)
+                for x, p in obj["entries"]}
 
     def render(self, payload):
         return "{" + ", ".join(f"{x}: {payload[x]}"
@@ -819,7 +869,7 @@ def mass(mu: MonadValue) -> Fraction:
     """Total probability mass of a subdistribution."""
     if not isinstance(INSTANCES[mu.kind.tag], Dist):
         raise KindError("mass() only applies to the dist monad")
-    return sum(mu.payload.values(), Fraction(0))
+    return _fsum(list(mu.payload.values()))
 
 
 def signature(kind: MonadKind) -> tuple[OpDescriptor, ...]:

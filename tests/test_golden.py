@@ -37,6 +37,23 @@ FILES = {
         ('{"effect":{"arity":1,"body":{"kind":"maybe","value":1}},"row":'
          '[true]}\n'),
 }
+# one-slot dist presentations whose probability breaks the "n"/"p/q" format
+BAD_PROBABILITIES = {
+    'float-prob.json': '0.1',
+    'number-prob.json': '1',
+    'padded-prob.json': '" 2/4 "',
+    'exponent-prob.json': '"1e-1"',
+    'zero-denominator.json': '"1/0"',
+}
+for _name, _prob in BAD_PROBABILITIES.items():
+    FILES[_name] = ('{"effect":{"arity":1,"body":{"kind":"dist","entries":'
+                    f'[[1,{_prob}]]}}}},"row":["c"]}}\n')
+
+
+def _bad_probability(shown):
+    return (f"kind error: bad serialized dist value: probability {shown} "
+            'is not a string "n" or "p/q" of digits with q > 0\n')
+
 
 TOO_DEEP = ('error: recursion limit reached: the program is nested too '
             'deeply, or its evaluation is at this fuel\n')
@@ -191,7 +208,7 @@ CASES = [
      "signature error: unknown location 'l9'\n"),
     (['laws', '--monads', 'maybe,foo'],
      3, '',
-     "signature error: unknown monad tag 'foo'\n"),
+     "kind error: unknown monad tag 'foo'\n"),
     (['compose', '{dir}/outer.json', '{dir}/left.json'],
      4, '',
      'error: family has 1 members, expected 2\n'),
@@ -432,21 +449,21 @@ CASES = [
      None),
     (['compose', '{dir}/no-arity.json'],
      3, '',
-     "signature error: bad serialized presentation: missing key 'arity'\n"),
+     "kind error: bad serialized presentation: missing key 'arity'\n"),
     (['compose', '{dir}/outer.json', '{dir}/no-entries.json',
       '{dir}/right.json'],
      3, '',
-     "signature error: bad serialized dist value: missing key 'entries'\n"),
+     "kind error: bad serialized dist value: missing key 'entries'\n"),
     (['compose', '{dir}/no-table.json'],
      3, '',
-     "signature error: bad serialized state value: missing key 'table'\n"),
+     "kind error: bad serialized state value: missing key 'table'\n"),
     (['compose', '{dir}/no-locations.json'],
      3, '',
-     ("signature error: bad serialized state value: missing key 'locat"
+     ("kind error: bad serialized state value: missing key 'locat"
       "ions'\n")),
     (['compose', '{dir}/row-not-list.json'],
      3, '',
-     "signature error: bad serialized presentation: row 'c' is not a list\n"),
+     "kind error: bad serialized presentation: row 'c' is not a list\n"),
     (['eval', '-m', 'maybe', '-f', '300', 'OMEGA'],
      5, '',
      TOO_DEEP),
@@ -458,11 +475,30 @@ CASES = [
      TOO_DEEP),
     (['compose', '{dir}/bool-row.json', '{dir}/bool-row.json'],
      3, '',
-     'signature error: bad serialized carrier element: True\n'),
+     'kind error: bad serialized carrier element: True\n'),
     (['compose', '--format', 'machine', '{dir}/bool-row.json',
       '{dir}/bool-row.json'],
      3, '',
-     'signature error: bad serialized carrier element: True\n'),
+     'kind error: bad serialized carrier element: True\n'),
+    (['compose', '{dir}/outer.json', '{dir}/float-prob.json',
+      '{dir}/right.json'],
+     3, '',
+     _bad_probability('0.1')),
+    (['compose', '{dir}/number-prob.json'],
+     3, '',
+     _bad_probability('1')),
+    (['compose', '{dir}/padded-prob.json'],
+     3, '',
+     _bad_probability("' 2/4 '")),
+    (['compose', '{dir}/exponent-prob.json'],
+     3, '',
+     _bad_probability("'1e-1'")),
+    (['compose', '--format', 'machine', '{dir}/zero-denominator.json'],
+     3, '',
+     _bad_probability("'1/0'")),
+    (['eval', '-m', 'state', '--locations', 'l0,l0', 'v'],
+     3, '',
+     "kind error: duplicate entries in locations: ('l0', 'l0')\n"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Parsing, substitution, and the fuel-indexed monadic evaluator."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -393,6 +395,74 @@ class TestAgainstReference:
     def test_substitute_on_open_terms(self, term, name, replacement):
         assert ed.substitute(term, name, replacement) == \
             reference_eval.substitute(term, name, replacement)
+
+
+def small_terms(kind, size):
+    """Every term of exactly ``size`` nodes built from the inert symbols
+    ``a`` and ``b``, the binders ``x`` and ``y`` (as variables only where
+    bound), abstraction, application and each operation of ``kind``."""
+    ops = ed.signature(kind)
+
+    @functools.lru_cache(maxsize=None)
+    def terms(size, scope):
+        out = []
+        if size == 1:
+            out += [Var(n) for n in sorted({"a", "b"} | scope)]
+        else:
+            for x in ("x", "y"):
+                out += [Abs(x, body) for body in terms(size - 1, scope | {x})]
+            for i in range(1, size - 1):
+                out += [App(f, a) for f in terms(i, scope)
+                        for a in terms(size - 1 - i, scope)]
+        for desc in ops:
+            for sizes in _arg_sizes(size - 1, desc.arity):
+                out += [Op(desc, args) for args in itertools.product(
+                    *[terms(n, scope) for n in sizes])]
+        return out
+
+    return terms(size, frozenset())
+
+
+def _arg_sizes(total, parts):
+    """Every way to split ``total`` nodes into ``parts`` non-empty terms."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(first, *rest) for first in range(1, total + 1)
+            for rest in _arg_sizes(total - first, parts - 1)]
+
+
+def _value_or_exception_type(evaluate, term, kind, fuel):
+    try:
+        mu = evaluate(term, kind, fuel)
+    except Exception as exc:
+        return type(exc)
+    return mu
+
+
+class TestExhaustiveSmallTerms:
+    """Every term up to a size bound, in the style of SmallCheck
+    (Runciman, Naylor & Lindblad, 2008): ``evaluate`` against the
+    reference evaluator at several fuels, and ``str`` against ``parse``.
+    The bounds keep the whole class to a few seconds.  ``dist`` goes to
+    size 7, the smallest at which a function whose body is more than its
+    bare parameter meets two results, as in ``(\\x. \\y. x) choice(a, b)``."""
+
+    @pytest.mark.parametrize("kind, max_size, count", [
+        (ed.MAYBE, 6, 1744), (EXC, 6, 5402), (ed.POWERSET, 6, 3928),
+        (ed.DIST, 7, 22518), (STATE, 4, 1006), (OUTPUT, 5, 1866)],
+        ids=lambda k: getattr(k, "tag", str(k)))
+    def test_agrees_with_reference_and_round_trips(self, kind, max_size,
+                                                   count):
+        terms = [t for size in range(1, max_size + 1)
+                 for t in small_terms(kind, size)]
+        assert len(terms) == count
+        for term in terms:
+            assert ed.parse(str(term), kind=kind) == term
+            for fuel in (0, 2, 5):
+                assert _value_or_exception_type(
+                    ed.evaluate, term, kind, fuel) == \
+                    _value_or_exception_type(
+                        reference_eval.evaluate, term, kind, fuel)
 
 
 def _chain(op, n):

@@ -358,6 +358,104 @@ class TestMassConservation:
         assert ed.mass(ed.bind(mu, f)) == ed.mass(mu)
 
 
+# Dist as it computed before its arithmetic moved to integer numerators:
+# one reduced Fraction per term.  TestExactArithmetic holds the instance
+# to these values and key orders.
+def ref_join(payload, outs):
+    acc = {}
+    for p, out in zip(payload.values(), outs):
+        for y, q in out.items():
+            acc[y] = acc.get(y, 0) + p * q
+    return acc
+
+
+def ref_map(payload, g):
+    acc = {}
+    for x, p in payload.items():
+        y = g(x)
+        acc[y] = acc.get(y, 0) + p
+    return acc
+
+
+def ref_normalise(payload):
+    entries = {x: F(p) for x, p in payload.items()}
+    if any(p < 0 for p in entries.values()):
+        raise ed.KindError("negative probability")
+    entries = {x: p for x, p in entries.items() if p}
+    if sum(entries.values(), F(0)) > 1:
+        raise ed.KindError("total mass exceeds 1")
+    return entries
+
+
+DIST = ed.monads.INSTANCES["dist"]
+
+
+@st.composite
+def big_payloads(draw, max_size=64):
+    """Canonical dist payloads over the keys 0..99 with up to
+    ``max_size`` entries of denominator up to 2**20 (each at most 1/64,
+    so the mass stays at most 1)."""
+    keys = draw(st.lists(st.integers(0, 99), unique=True, max_size=max_size))
+    dens = [draw(st.integers(1, 2 ** 14)) for _ in keys]
+    return {x: F(draw(st.integers(1, d)), 64 * d) for x, d in zip(keys, dens)}
+
+
+def _same(got, want):
+    """The same values in the same key order, each a plain Fraction."""
+    assert got == want and list(got) == list(want)
+    assert all(type(v) is F for v in got.values())
+
+
+class TestExactArithmetic:
+    """``Dist`` sums integer numerators and builds one Fraction per
+    support element; it must agree exactly with the per-term fold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), big_payloads())
+    def test_join(self, data, payload):
+        outs = [data.draw(big_payloads(max_size=8)) for _ in payload]
+        _same(DIST.join(payload, outs), ref_join(payload, outs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_payloads(), st.integers(1, 8))
+    def test_map_sums_collisions_and_keeps_single_preimages(self, payload,
+                                                           m):
+        got = DIST.map(payload, lambda x: x % m)
+        _same(got, ref_map(payload, lambda x: x % m))
+        for x, p in payload.items():
+            if [y % m for y in payload].count(x % m) == 1:
+                assert got[x % m] is p
+        _same(DIST.map(payload, lambda x: -x), ref_map(payload, lambda x: -x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_payloads(), big_payloads())
+    def test_choice(self, a, b):
+        halves = {0: F(1, 2), 1: F(1, 2)}
+        _same(DIST.apply(ed.DIST, "choice", None, [a, b]),
+              ref_join(halves, [a, b]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_payloads(), st.lists(st.integers(-1, 1), max_size=4))
+    def test_normalise_and_mass(self, payload, ints):
+        _same(DIST.normalise(ed.DIST, payload), ref_normalise(payload))
+        assert ed.mass(dist(payload)) == sum(payload.values(), F(0))
+        assert type(ed.mass(dist(payload))) is F
+        # ints, zeros, negatives and excess mass meet the same checks
+        raw = {**payload, **{100 + i: n for i, n in enumerate(ints)}}
+        raw["half"] = F(1, 2) * len(ints)
+        try:
+            want = ref_normalise(raw)
+        except ed.KindError:
+            with pytest.raises(ed.KindError):
+                DIST.normalise(ed.DIST, raw)
+        else:
+            _same(DIST.normalise(ed.DIST, raw), want)
+
+    def test_empty(self):
+        _same(DIST.join({}, []), {})
+        assert ed.mass(dist({})) == 0 and type(ed.mass(dist({}))) is F
+
+
 class TestValidation:
     def test_dist_rejects_excess_mass(self):
         with pytest.raises(ed.KindError):
@@ -460,6 +558,9 @@ class TestMalformedPayloads:
         (ed.DIST, {"a": "x"}),
         (ed.DIST, {"a": None}),
         (ed.DIST, {"a": float("inf")}),
+        (ed.DIST, {"a": 0.5}),
+        (ed.DIST, {"a": True}),
+        (ed.DIST, {"a": "1/2"}),
         (ed.DIST, [1, 2]),
         (ed.MAYBE, "v"),
         (EXC, ed.Raised("nope")),

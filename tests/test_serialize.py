@@ -51,6 +51,22 @@ class TestFormat:
                                   "entries": [["x", "2/2"]]})
         assert mu2 == mu
 
+    @pytest.mark.parametrize("text, want", [
+        ("3/16", F(3, 16)), ("2/4", F(1, 2)), ("1", F(1)), ("007/8", F(7, 8)),
+        ("0", None)])
+    def test_probability_strings_accepted(self, text, want):
+        mu = serialize.from_obj({"kind": "dist", "entries": [["x", text]]})
+        assert dict(mu.payload) == ({} if want is None else {"x": want})
+        assert all(type(p) is F for p in mu.payload.values())
+
+    @pytest.mark.parametrize("prob", [
+        0.1, 1, 0, True, None, [1, 2], " 2/4 ", "1e-1", "1/0", "0/0", "-1/2",
+        "+1", "1/", "/2", "1/2/3", "1.5", "\u0663", "1_0", ""])
+    def test_probability_outside_the_format_rejected(self, prob):
+        with pytest.raises(ed.KindError,
+                           match="^bad serialized dist value: probability"):
+            serialize.from_obj({"kind": "dist", "entries": [["x", prob]]})
+
     def test_rejects_malformed(self):
         with pytest.raises(ed.KindError):
             serialize.from_obj({"no": "kind"})
