@@ -28,6 +28,7 @@ is always exact, never a float tolerance.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -432,21 +433,24 @@ class Powerset(Instance):
                 for combo in itertools.combinations(carrier, k)]
 
 
-def _fsum(ps: list) -> Fraction:
-    """The exact sum of ``Fraction``s: integer numerators over the lcm of
-    the denominators, reduced once (Knuth, TAOCP Vol. 2, 4.5.1)."""
+def _sum(ps: list) -> tuple:
+    """The exact sum of ``Fraction``s as ``(n, d)``: integer numerators
+    over the lcm of the denominators, for one reduction by ``Fraction(n,
+    d)`` (Knuth, TAOCP Vol. 2, 4.5.1)."""
     d = lcm(*[p.denominator for p in ps])
-    return Fraction(sum([p.numerator * (d // p.denominator) for p in ps]), d)
+    return sum([p.numerator * (d // p.denominator) for p in ps]), d
+
+
+_PROBABILITY = re.compile(r"(\d+)(?:/(\d+))?", re.ASCII)
 
 
 def _probability_from_obj(text) -> Fraction:
     """A serialized probability: a string ``"n"`` or ``"p/q"`` of ASCII
     digits with ``q > 0``; anything else raises ``ValueError``."""
-    if isinstance(text, str):
-        num, slash, den = text.partition("/")
-        den = den if slash else "1"
-        if num.isascii() and num.isdigit() and den.isascii() and \
-                den.isdigit() and int(den):
+    match = _PROBABILITY.fullmatch(text) if isinstance(text, str) else None
+    if match:
+        num, den = match.groups("1")
+        if int(den):
             return Fraction(int(num), int(den))
     raise ValueError(f'probability {text!r} is not a string "n" or "p/q" '
                      f'of digits with q > 0')
@@ -468,13 +472,15 @@ class Dist(Instance):
                     raise KindError(f"probability {p!r} for {x!r} is not "
                                     f"an int or a Fraction")
                 p = Fraction(p)
-            if p < 0:
+            # signs and the mass are tested on ints: a Fraction comparison
+            # costs about a microsecond
+            if p.numerator < 0:
                 raise KindError(f"negative probability {p} for {x!r}")
-            if p:
+            if p.numerator:
                 entries[x] = p
-        total = _fsum(list(entries.values()))
-        if total > 1:
-            raise KindError(f"total mass {total} exceeds 1")
+        n, d = _sum(list(entries.values()))
+        if n > d:
+            raise KindError(f"total mass {Fraction(n, d)} exceeds 1")
         return entries
 
     def unit(self, kind, x):
@@ -495,7 +501,7 @@ class Dist(Instance):
             else:
                 acc[y] = p
         for y, ps in clash.items():
-            acc[y] = _fsum(ps)
+            acc[y] = Fraction(*_sum(ps))
         return acc
 
     def join(self, payload, outs):
@@ -869,7 +875,7 @@ def mass(mu: MonadValue) -> Fraction:
     """Total probability mass of a subdistribution."""
     if not isinstance(INSTANCES[mu.kind.tag], Dist):
         raise KindError("mass() only applies to the dist monad")
-    return _fsum(list(mu.payload.values()))
+    return Fraction(*_sum(list(mu.payload.values())))
 
 
 def signature(kind: MonadKind) -> tuple[OpDescriptor, ...]:
