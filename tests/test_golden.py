@@ -38,16 +38,14 @@ FILES = {
          '[true]}\n'),
 }
 # one-slot dist presentations whose probability breaks the "n"/"p/q" format
-BAD_PROBABILITIES = {
-    'float-prob.json': '0.1',
-    'number-prob.json': '1',
-    'padded-prob.json': '" 2/4 "',
-    'exponent-prob.json': '"1e-1"',
-    'zero-denominator.json': '"1/0"',
-}
-for _name, _prob in BAD_PROBABILITIES.items():
-    FILES[_name] = ('{"effect":{"arity":1,"body":{"kind":"dist","entries":'
-                    f'[[1,{_prob}]]}}}},"row":["c"]}}\n')
+FILES.update({
+    name: ('{"effect":{"arity":1,"body":{"kind":"dist","entries":'
+           f'[[1,{prob}]]}}}},"row":["c"]}}\n')
+    for name, prob in (('float-prob.json', '0.1'),
+                       ('number-prob.json', '1'),
+                       ('padded-prob.json', '" 2/4 "'),
+                       ('exponent-prob.json', '"1e-1"'),
+                       ('zero-denominator.json', '"1/0"'))})
 
 
 def _bad_probability(shown):

@@ -448,7 +448,7 @@ class TestExhaustiveSmallTerms:
     bare parameter meets two results, as in ``(\\x. \\y. x) choice(a, b)``."""
 
     @pytest.mark.parametrize("kind, max_size, count", [
-        (ed.MAYBE, 6, 1744), (EXC, 6, 5402), (ed.POWERSET, 6, 3928),
+        (ed.MAYBE, 6, 1744), (EXC, 5, 1068), (ed.POWERSET, 6, 3928),
         (ed.DIST, 7, 22518), (STATE, 4, 1006), (OUTPUT, 5, 1866)],
         ids=lambda k: getattr(k, "tag", str(k)))
     def test_agrees_with_reference_and_round_trips(self, kind, max_size,
