@@ -387,7 +387,7 @@ def ref_normalise(payload):
     return entries
 
 
-DIST = ed.monads.INSTANCES["dist"]
+DIST_INSTANCE = ed.monads.INSTANCES["dist"]
 
 
 @st.composite
@@ -414,30 +414,32 @@ class TestExactArithmetic:
     @given(st.data(), big_payloads())
     def test_join(self, data, payload):
         outs = [data.draw(big_payloads(max_size=8)) for _ in payload]
-        _same(DIST.join(payload, outs), ref_join(payload, outs))
+        _same(DIST_INSTANCE.join(payload, outs), ref_join(payload, outs))
 
     @settings(max_examples=60, deadline=None)
     @given(big_payloads(), st.integers(1, 8))
     def test_map_sums_collisions_and_keeps_single_preimages(self, payload,
                                                            m):
-        got = DIST.map(payload, lambda x: x % m)
+        got = DIST_INSTANCE.map(payload, lambda x: x % m)
         _same(got, ref_map(payload, lambda x: x % m))
         for x, p in payload.items():
             if [y % m for y in payload].count(x % m) == 1:
                 assert got[x % m] is p
-        _same(DIST.map(payload, lambda x: -x), ref_map(payload, lambda x: -x))
+        _same(DIST_INSTANCE.map(payload, lambda x: -x),
+              ref_map(payload, lambda x: -x))
 
     @settings(max_examples=60, deadline=None)
     @given(big_payloads(), big_payloads())
     def test_choice(self, a, b):
         halves = {0: F(1, 2), 1: F(1, 2)}
-        _same(DIST.apply(ed.DIST, "choice", None, [a, b]),
+        _same(DIST_INSTANCE.apply(ed.DIST, "choice", None, [a, b]),
               ref_join(halves, [a, b]))
 
     @settings(max_examples=60, deadline=None)
     @given(big_payloads(), st.lists(st.integers(-1, 1), max_size=4))
     def test_normalise_and_mass(self, payload, ints):
-        _same(DIST.normalise(ed.DIST, payload), ref_normalise(payload))
+        _same(DIST_INSTANCE.normalise(ed.DIST, payload),
+              ref_normalise(payload))
         assert ed.mass(dist(payload)) == sum(payload.values(), F(0))
         assert type(ed.mass(dist(payload))) is F
         # ints, zeros, negatives and excess mass meet the same checks
@@ -447,12 +449,12 @@ class TestExactArithmetic:
             want = ref_normalise(raw)
         except ed.KindError:
             with pytest.raises(ed.KindError):
-                DIST.normalise(ed.DIST, raw)
+                DIST_INSTANCE.normalise(ed.DIST, raw)
         else:
-            _same(DIST.normalise(ed.DIST, raw), want)
+            _same(DIST_INSTANCE.normalise(ed.DIST, raw), want)
 
     def test_empty(self):
-        _same(DIST.join({}, []), {})
+        _same(DIST_INSTANCE.join({}, []), {})
         assert ed.mass(dist({})) == 0 and type(ed.mass(dist({}))) is F
 
 
