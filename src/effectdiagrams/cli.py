@@ -11,9 +11,10 @@ success; 1 for unmet law expectations, a stuck evaluation, an arity
 above the cap or an unreadable file; 2 for a syntax error or bad
 command-line arguments; 3 for an operation that does not fit the chosen
 monad (``signature error``), or a bad kind or malformed machine JSON
-(``kind error``); 4 for a composition arity mismatch; 5 when the input
-or its evaluation nests too deeply for the recursion limit.  Each error
-is one line on stderr.
+(``kind error``); 4 for a composition arity mismatch; 5 when evaluation,
+or the expansion of prelude names, nests too deeply for the recursion
+limit.  The parser keeps its own stack, so deep nesting alone parses.
+Each error is one line on stderr.
 """
 
 from __future__ import annotations

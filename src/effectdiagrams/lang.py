@@ -34,6 +34,7 @@ arguments can change the result.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -216,6 +217,9 @@ def resolve_op(desc: OpDescriptor, kind: MonadKind) -> OpDescriptor:
 
 
 _PUNCT = "\\.()[],;"
+# an identifier goes on with letters, digits, "_" and "'": for str
+# patterns \w is exactly str.isalnum() plus "_"
+_IDENT_TAIL = re.compile(r"[\w']*")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -246,8 +250,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             tokens.append(("number", src[start:i], start))
         elif c.isalpha() or c == "_":
             start = i
-            while i < n and (src[i].isalnum() or src[i] in "_'"):
-                i += 1
+            i = _IDENT_TAIL.match(src, i + 1).end()
             tokens.append(("ident", src[start:i], start))
         else:
             raise ParseError(f"unexpected character {c!r}", i)
@@ -255,106 +258,137 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, src: str, kind: Optional[MonadKind]):
-        self.tokens = _tokenize(src)
-        self.pos = 0
-        self.kind = kind
+# frames of the parse stack: the whole program, a parenthesis, the body
+# of an abstraction, and the argument list of an operation
+_PROGRAM, _GROUP, _BODY, _ARGS = range(4)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _sequence(parts: list) -> Term:
+    """``p1 ; p2 ; ... ; pn`` grouped to the right, each ``a ; b`` being
+    ``(\\_. b) a`` with ``_`` renamed away from the free names of ``b``."""
+    term = parts[-1]
+    for left in parts[-2::-1]:
+        taken = term._fv
+        ignored = "_" if "_" not in taken else _fresh("_", taken)
+        term = App(Abs(ignored, term), left)
+    return term
 
-    def expect(self, punct: str):
-        typ, text, pos = self.next()
-        if typ != "punct" or text != punct:
-            raise ParseError(f"expected {punct!r}, found {text!r}", pos)
 
-    def parse_program(self) -> Term:
-        term = self.parse_seq()
-        typ, text, pos = self.peek()
-        if typ != "eof":
-            raise ParseError(f"trailing input starting at {text!r}", pos)
-        return term
+def _parse(src: str, kind: Optional[MonadKind]) -> Term:
+    """One loop over the tokens with an explicit stack of open frames.
 
-    def at(self, punct: str) -> bool:
-        typ, text, _ = self.peek()
-        return typ == "punct" and text == punct
-
-    def parse_seq(self) -> Term:
-        left = self.parse_app()
-        if self.at(";"):
-            self.next()
-            right = self.parse_seq()
-            taken = free_vars(right)
-            ignored = "_" if "_" not in taken else _fresh("_", taken)
-            return App(Abs(ignored, right), left)
-        return left
-
-    def _starts_atom(self) -> bool:
-        typ, text, _ = self.peek()
-        return typ == "ident" or (typ == "punct" and text in "\\(")
-
-    def parse_app(self) -> Term:
-        typ, text, pos = self.peek()
-        if not self._starts_atom():
-            raise ParseError(f"expected a term, found {text or 'end'!r}", pos)
-        term = self.parse_atom()
-        while self._starts_atom():
-            term = App(term, self.parse_atom())
-        return term
-
-    def parse_atom(self) -> Term:
-        typ, text, pos = self.next()
-        if typ == "punct" and text == "\\":
-            vtyp, vname, vpos = self.next()
+    ``fn`` is the application read so far in the innermost frame, or
+    ``None`` where a term must start, and ``parts`` holds the terms
+    before each ``;`` of that frame.  A token that neither starts an
+    atom nor is ``;`` ends the application and the sequence: it closes
+    every abstraction body open in the frame, then must be the frame's
+    ``)`` or ``,``, or the end of the program.  Index tokens occur only
+    between brackets, and only the index loop reads those, so elsewhere
+    a punctuation mark is known by its text alone.
+    """
+    tokens = _tokenize(src)
+    variables: dict = {}
+    descriptors: dict = {}
+    stack = []
+    frame, parts, fn, data = _PROGRAM, [], None, None
+    i = 0
+    while True:
+        typ, text, pos = tokens[i]
+        i += 1
+        if typ == "ident":
+            if text not in OP_FAMILIES:
+                atom = variables.get(text)
+                if atom is None:
+                    atom = variables[text] = Var(text)
+            else:
+                indices = []
+                if tokens[i][1] == "[":
+                    while True:
+                        ityp, itext, ipos = tokens[i + 1]
+                        if ityp != "index":
+                            raise ParseError(f"bad index {itext!r}", ipos)
+                        indices.append(itext)
+                        _, sep, spos = tokens[i + 2]
+                        i += 2
+                        if sep == "]":
+                            break
+                        if sep != ",":
+                            raise ParseError(
+                                "expected ',' or ']' in index list", spos)
+                    i += 1
+                key = (text, *indices)
+                desc = descriptors.get(key)
+                if desc is None:
+                    desc = descriptors[key] = _op_descriptor(
+                        text, indices, kind, pos)
+                _, paren, ppos = tokens[i]
+                if paren != "(":
+                    raise ParseError(f"expected '(', found {paren!r}", ppos)
+                if tokens[i + 1][1] != ")":
+                    i += 1
+                    stack.append((frame, parts, fn, data))
+                    frame, parts, fn, data = _ARGS, [], None, (desc, text,
+                                                               pos, [])
+                    continue
+                i += 2
+                if desc.arity:
+                    raise ParseError(
+                        f"{text} expects {desc.arity} arguments, got 0", pos)
+                atom = Op(desc, ())
+        elif text == "(":
+            stack.append((frame, parts, fn, data))
+            frame, parts, fn, data = _GROUP, [], None, None
+            continue
+        elif text == "\\":
+            vtyp, param, vpos = tokens[i]
             if vtyp != "ident":
                 raise ParseError("expected a variable after '\\'", vpos)
-            self.expect(".")
-            return Abs(vname, self.parse_seq())
-        if typ == "punct" and text == "(":
-            inner = self.parse_seq()
-            self.expect(")")
-            return inner
-        if typ == "ident":
-            if text in OP_FAMILIES:
-                return self.parse_op(text, pos)
-            return Var(text)
-        raise ParseError(f"unexpected token {text!r}", pos)
-
-    def parse_op(self, name: str, pos: int) -> Term:
-        indices = []
-        if self.at("["):
-            self.next()
+            _, dot, dpos = tokens[i + 1]
+            if dot != ".":
+                raise ParseError(f"expected '.', found {dot!r}", dpos)
+            i += 2
+            stack.append((frame, parts, fn, data))
+            frame, parts, fn, data = _BODY, [], None, param
+            continue
+        elif fn is None:
+            raise ParseError(f"expected a term, found {text or 'end'!r}", pos)
+        elif text == ";":
+            parts.append(fn)
+            fn = None
+            continue
+        else:
             while True:
-                ityp, itext, ipos = self.next()
-                if ityp != "index":
-                    raise ParseError(f"bad index {itext!r}", ipos)
-                indices.append(itext)
-                ttyp, ttext, tpos = self.next()
-                if ttyp == "punct" and ttext == "]":
+                if parts:
+                    parts.append(fn)
+                    fn = _sequence(parts)
+                if frame != _BODY:
                     break
-                if not (ttyp == "punct" and ttext == ","):
-                    raise ParseError("expected ',' or ']' in index list",
-                                     tpos)
-        desc = _op_descriptor(name, indices, self.kind, pos)
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_seq())
-            while self.at(","):
-                self.next()
-                args.append(self.parse_seq())
-        self.expect(")")
-        if len(args) != desc.arity:
-            raise ParseError(
-                f"{name} expects {desc.arity} arguments, got {len(args)}",
-                pos)
-        return Op(desc, tuple(args))
+                atom = Abs(data, fn)
+                frame, parts, fn, data = stack.pop()
+                fn = atom if fn is None else App(fn, atom)
+            if frame == _PROGRAM:
+                if typ != "eof":
+                    raise ParseError(
+                        f"trailing input starting at {text!r}", pos)
+                return fn
+            if frame == _ARGS:
+                desc, name, op_pos, args = data
+                args.append(fn)
+                if text == ",":
+                    parts, fn = [], None
+                    continue
+            if text != ")":
+                raise ParseError(f"expected ')', found {text!r}", pos)
+            if frame == _GROUP:
+                atom = fn
+            elif len(args) != desc.arity:
+                raise ParseError(
+                    f"{name} expects {desc.arity} arguments, got {len(args)}",
+                    op_pos)
+            else:
+                atom = Op(desc, tuple(args))
+            frame, parts, fn, data = stack.pop()
+        fn = atom if fn is None else App(fn, atom)
 
 
 def parse(src: str, kind: Optional[MonadKind] = None,
@@ -365,8 +399,10 @@ def parse(src: str, kind: Optional[MonadKind] = None,
     (a mismatch raises SignatureError); otherwise each operation is bound
     to a minimal inferred kind and rechecked at evaluation time.  Free
     identifiers named in ``defs`` are replaced by their definitions.
+    The parser keeps its own stack, so nesting depth is bounded by
+    memory, not by the recursion limit.
     """
-    term = _Parser(src, kind).parse_program()
+    term = _parse(src, kind)
     for name, repl in (defs or {}).items():
         term = substitute(term, name, repl)
     return term

@@ -113,6 +113,14 @@ class Diverge:
 DIVERGE = Diverge()
 
 
+def _present(value) -> Present:
+    """``Present(value)`` without the frozen dataclass ``__init__``, for
+    the state tables, which build one cell per store."""
+    cell = object.__new__(Present)
+    cell.__dict__["value"] = value
+    return cell
+
+
 @dataclass(frozen=True)
 class OpDescriptor:
     """A named algebraic operation from one instance's signature.
@@ -566,6 +574,13 @@ def _stores(width: int) -> tuple:
     return tuple(itertools.product((0, 1), repeat=width))
 
 
+@lru_cache(maxsize=None)
+def _written(width: int, i: int, bit: int) -> tuple:
+    """Each store of ``_stores(width)`` with location ``i`` set to ``bit``:
+    the stores ``write`` reads its argument at.  At most 20 entries."""
+    return tuple([s[:i] + (bit,) + s[i + 1:] for s in _stores(width)])
+
+
 def _bits(store) -> str:
     return "".join(str(b) for b in store)
 
@@ -612,28 +627,47 @@ class State(Instance):
         return Present((x, nxt))
 
     def unit(self, kind, x):
-        return {s: Present((x, s)) for s in _stores(len(kind.params))}
+        return {s: _present((x, s)) for s in _stores(len(kind.params))}
 
     def bottom(self, kind):
         return dict.fromkeys(_stores(len(kind.params)), DIVERGE)
 
     def returns(self, payload):
-        return list(dict.fromkeys(cell.value[0] for cell in payload.values()
-                                  if isinstance(cell, Present)))
+        return list(dict.fromkeys([cell.value[0] for cell in payload.values()
+                                   if isinstance(cell, Present)]))
 
     def map(self, payload, g):
-        image = {x: g(x) for x in self.returns(payload)}
-        return {s: Present((image[c.value[0]], c.value[1]))
-                if isinstance(c, Present) else DIVERGE
-                for s, c in payload.items()}
+        # one walk; g meets each returned element once, in returns order
+        image: dict = {}
+        table = {}
+        for s, c in payload.items():
+            if isinstance(c, Present):
+                x, nxt = c.value
+                if x not in image:
+                    image[x] = g(x)
+                table[s] = _present((image[x], nxt))
+            else:
+                table[s] = DIVERGE
+        return table
 
     def join(self, payload, outs):
         # one continuation result per returned element, shared by every
-        # store that returns it; chains of binds do not fan out per store
-        results = dict(zip(self.returns(payload), outs))
-        return {s: results[c.value[0]][c.value[1]]
-                if isinstance(c, Present) else DIVERGE
-                for s, c in payload.items()}
+        # store that returns it; chains of binds do not fan out per store.
+        # outs follows returns order, which is first-occurrence order, so
+        # one walk takes the next result at each element's first store
+        results: dict = {}
+        following = iter(outs).__next__
+        table = {}
+        for s, c in payload.items():
+            if isinstance(c, Present):
+                x, nxt = c.value
+                out = results.get(x)
+                if out is None:
+                    out = results[x] = following()
+                table[s] = out[nxt]
+            else:
+                table[s] = DIVERGE
+        return table
 
     def leq(self, a, b):
         return all(_CELL.leq(a[s], b[s]) for s in a)
@@ -657,8 +691,8 @@ class State(Instance):
             i = kind.params.index(index)
             return {s: args[s[i]][s] for s in all_stores}
         loc, bit = index
-        i = kind.params.index(loc)
-        return {s: args[0][s[:i] + (bit,) + s[i + 1:]] for s in all_stores}
+        written = _written(len(kind.params), kind.params.index(loc), bit)
+        return dict(zip(all_stores, map(args[0].__getitem__, written)))
 
     def minimal_kind(self, name, index):
         return self.make_kind((index if name == "read" else index[0],))

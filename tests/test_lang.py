@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from effectdiagrams import lang, serialize
 from effectdiagrams.lang import Abs, App, Op, Var
 
 import reference_eval
+import reference_parse
 from strategies import ALL_KINDS, BINDERS, EXC, OUTPUT, STATE, programs
 
 DEFS = ed.default_defs()
@@ -522,3 +524,87 @@ class TestSharing:
             assert repr(term) == repr(twin) == text
             assert term == twin and hash(term) == hash(twin)
             assert ed.free_vars(twin) == {"unrelated"}
+
+
+def _parsed(parse, *args):
+    """The result, or the type, message and offset of the error raised."""
+    try:
+        return parse(*args)
+    except (ed.ParseError, ed.KindError) as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+# single tokens: every punctuation mark and operation name, identifiers,
+# numbers, bracket entries, comments and characters that start no token
+_TOKENS = [
+    *"\\.()[],;", "x", "y", "v", "_", "x'", "x²", "é", "λ", "_1", "x_y",
+    "0", "1", "42", "²", "½", "$", "# a comment\n", "#", "\n",
+    "l0", "l1", "err", "crash", "a", "b", *sorted(lang.OP_FAMILIES)]
+# fragments of well-formed programs, so that deeper shapes parse too
+_FRAGMENTS = [
+    "\\x. ", "\\_. ", "(\\y. ", "union(", "choice(", "read[l0](",
+    "write[l0,1](", "write[l1,0](", "print[a](", "raise[err]()",
+    "raise[crash](", "union()", " ; ", ", ", ")", "x)", "v, w)"]
+_SOUP = st.sampled_from(_TOKENS) | st.sampled_from(_FRAGMENTS)
+_SEPARATORS = st.sampled_from(["", "", " ", "\t", "\n"])
+_PARSE_KINDS = (None, *ALL_KINDS)
+
+
+class TestAgainstReferenceParser:
+    """``parse`` against the recursive-descent parser it replaced: the
+    same term, or the same error with the same message and offset."""
+
+    @pytest.mark.parametrize("kind", _PARSE_KINDS,
+                             ids=lambda k: getattr(k, "tag", "none"))
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.tuples(_SOUP, _SEPARATORS), max_size=24))
+    def test_token_soup(self, kind, pieces):
+        src = "".join(a + b for a, b in pieces)
+        assert _parsed(lang._tokenize, src) == \
+            _parsed(reference_parse._tokenize, src)
+        assert _parsed(lang.parse, src, kind) == \
+            _parsed(reference_parse.parse, src, kind)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.tag)
+    def test_enumerated_terms_under_every_kind(self, kind):
+        max_size = {"dist": 5, "set": 5}.get(kind.tag, 4)
+        for size in range(1, max_size + 1):
+            for term in small_terms(kind, size):
+                src = str(term)
+                for parse_kind in _PARSE_KINDS:
+                    assert _parsed(lang.parse, src, parse_kind) == \
+                        _parsed(reference_parse.parse, src, parse_kind)
+
+    def test_identifier_tail_is_isalnum_or_underscore_or_quote(self):
+        tail = lang._IDENT_TAIL
+        assert all((c.isalnum() or c in "_'") ==
+                   (tail.match(c).end() == 1)
+                   for c in map(chr, range(sys.maxunicode + 1)))
+
+
+class TestDeepInput:
+    """The parser keeps its own stack; the shapes are checked by loops,
+    since ``==`` and ``str`` on these terms would recurse."""
+
+    def test_nested_parentheses(self):
+        n = 10 ** 5
+        assert ed.parse("(" * n + "v" + ")" * n) == Var("v")
+
+    def test_sequence_chain(self):
+        n = 10 ** 5
+        term = ed.parse(" ; ".join(["v"] * n))
+        for _ in range(n - 1):
+            assert isinstance(term, App) and term.arg == Var("v")
+            assert isinstance(term.fn, Abs) and term.fn.param == "_"
+            term = term.fn.body
+        assert term == Var("v")
+
+    def test_nested_operations(self):
+        n = 2 * 10 ** 4
+        term = ed.parse("union(" * n + "a" + ", b)" * n)
+        assert ed.free_vars(term) == {"a", "b"}
+        for _ in range(n):
+            assert isinstance(term, Op) and term.op.name == "union"
+            assert term.args[1] == Var("b")
+            term = term.args[0]
+        assert term == Var("a")

@@ -462,6 +462,106 @@ class TestExactArithmetic:
         assert ed.mass(dist({})) == 0 and type(ed.mass(dist({}))) is F
 
 
+
+# State as it built its tables before join and map walked them once:
+# TestStateTables holds the instance to these values and key orders.
+def ref_state_join(payload, outs):
+    returned = dict.fromkeys(c.value[0] for c in payload.values()
+                             if isinstance(c, ed.Present))
+    results = dict(zip(returned, outs))
+    return {s: results[c.value[0]][c.value[1]]
+            if isinstance(c, ed.Present) else ed.DIVERGE
+            for s, c in payload.items()}
+
+
+def ref_state_map(payload, g):
+    returned = dict.fromkeys(c.value[0] for c in payload.values()
+                             if isinstance(c, ed.Present))
+    image = {x: g(x) for x in returned}
+    return {s: ed.Present((image[c.value[0]], c.value[1]))
+            if isinstance(c, ed.Present) else ed.DIVERGE
+            for s, c in payload.items()}
+
+
+def ref_state_write(kind, loc, bit, arg):
+    i = kind.params.index(loc)
+    return {s: arg[s[:i] + (bit,) + s[i + 1:]] for s in ed.stores(kind)}
+
+
+STATE_INSTANCE = ed.monads.INSTANCES["state"]
+
+
+STATE_KINDS = st.integers(1, 4).map(
+    lambda width: ed.state_kind([f"l{i}" for i in range(width)]))
+
+
+def state_tables(kind):
+    """Canonical payloads of a state kind whose cells diverge or return
+    one of three values, so values repeat across stores."""
+    all_stores = ed.stores(kind)
+    cell = st.one_of(st.just(ed.DIVERGE), st.builds(
+        lambda x, s: ed.Present((x, s)), st.sampled_from("abc"),
+        st.sampled_from(all_stores)))
+    return st.lists(cell, min_size=len(all_stores),
+                    max_size=len(all_stores)).map(
+        lambda cells: ed.MonadValue(kind, dict(zip(all_stores, cells)))
+        .payload)
+
+
+def _same_table(got, want):
+    """The same cells in the same key order."""
+    assert got == want and list(got) == list(want)
+
+
+class TestStateTables:
+    """``State`` walks each table once and builds cells unchecked; it must
+    agree exactly with the dict-comprehension tables it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_join(self, data):
+        kind = data.draw(STATE_KINDS)
+        payload = data.draw(state_tables(kind))
+        outs = [data.draw(state_tables(kind))
+                for _ in STATE_INSTANCE.returns(payload)]
+        _same_table(STATE_INSTANCE.join(payload, outs),
+                    ref_state_join(payload, outs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([str.upper, lambda x: "z"]))
+    def test_map_and_its_call_order(self, data, g):
+        kind = data.draw(STATE_KINDS)
+        payload = data.draw(state_tables(kind))
+        _same_table(STATE_INSTANCE.map(payload, g),
+                    ref_state_map(payload, g))
+        by_map, by_bind = [], []
+        mu = ed.MonadValue(kind, payload)
+        mapped = ed.map_carrier(mu, lambda x: by_map.append(x) or g(x))
+        bound = ed.bind(mu, lambda x: by_bind.append(x) or
+                        ed.unit(kind, g(x)))
+        assert mapped == bound and by_map == by_bind
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from((0, 1)))
+    def test_write(self, data, bit):
+        kind = data.draw(STATE_KINDS)
+        arg = data.draw(state_tables(kind))
+        loc = data.draw(st.sampled_from(kind.params))
+        _same_table(STATE_INSTANCE.apply(kind, "write", (loc, bit), [arg]),
+                    ref_state_write(kind, loc, bit, arg))
+
+    def test_cells_built_unchecked_stay_frozen(self):
+        kind = ed.state_kind(["l0"])
+        unit = ed.unit(kind, "a")
+        cells = [*unit.payload.values(),
+                 *ed.map_carrier(unit, str.upper).payload.values()]
+        assert cells == [ed.Present(("a", (0,))), ed.Present(("a", (1,))),
+                         ed.Present(("A", (0,))), ed.Present(("A", (1,)))]
+        for cell in cells:
+            assert hash(cell) == hash(ed.Present(cell.value))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cell.value = ("b", (0,))
+
 class TestValidation:
     def test_dist_rejects_excess_mass(self):
         with pytest.raises(ed.KindError):
