@@ -258,6 +258,28 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The parser builds its nodes without the dataclass __init__: it checks
+# operation arities itself, and each node's free variables follow from
+# its children's exactly as in __post_init__.
+def _app(fn: Term, arg: Term) -> App:
+    node = object.__new__(App)
+    node.__dict__.update(fn=fn, arg=arg, _fv=fn._fv | arg._fv)
+    return node
+
+
+def _abs(param: str, body: Term) -> Abs:
+    node = object.__new__(Abs)
+    node.__dict__.update(param=param, body=body, _fv=body._fv - {param})
+    return node
+
+
+def _op(desc: OpDescriptor, args: tuple) -> Op:
+    node = object.__new__(Op)
+    node.__dict__.update(op=desc, args=args, _fv=frozenset().union(
+        *[a._fv for a in args]))
+    return node
+
+
 # frames of the parse stack: the whole program, a parenthesis, the body
 # of an abstraction, and the argument list of an operation
 _PROGRAM, _GROUP, _BODY, _ARGS = range(4)
@@ -270,7 +292,7 @@ def _sequence(parts: list) -> Term:
     for left in parts[-2::-1]:
         taken = term._fv
         ignored = "_" if "_" not in taken else _fresh("_", taken)
-        term = App(Abs(ignored, term), left)
+        term = _app(_abs(ignored, term), left)
     return term
 
 
@@ -334,7 +356,7 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                 if desc.arity:
                     raise ParseError(
                         f"{text} expects {desc.arity} arguments, got 0", pos)
-                atom = Op(desc, ())
+                atom = _op(desc, ())
         elif text == "(":
             stack.append((frame, parts, fn, data))
             frame, parts, fn, data = _GROUP, [], None, None
@@ -363,9 +385,9 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                     fn = _sequence(parts)
                 if frame != _BODY:
                     break
-                atom = Abs(data, fn)
+                atom = _abs(data, fn)
                 frame, parts, fn, data = stack.pop()
-                fn = atom if fn is None else App(fn, atom)
+                fn = atom if fn is None else _app(fn, atom)
             if frame == _PROGRAM:
                 if typ != "eof":
                     raise ParseError(
@@ -386,9 +408,9 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                     f"{name} expects {desc.arity} arguments, got {len(args)}",
                     op_pos)
             else:
-                atom = Op(desc, tuple(args))
+                atom = _op(desc, tuple(args))
             frame, parts, fn, data = stack.pop()
-        fn = atom if fn is None else App(fn, atom)
+        fn = atom if fn is None else _app(fn, atom)
 
 
 def parse(src: str, kind: Optional[MonadKind] = None,

@@ -1,5 +1,6 @@
 """Parsing, substitution, and the fuel-indexed monadic evaluator."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -526,12 +527,31 @@ class TestSharing:
             assert ed.free_vars(twin) == {"unrelated"}
 
 
+def _subterms(term):
+    """Every node of a term in preorder, without recursion."""
+    todo, out = [term], []
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        if isinstance(t, Abs):
+            todo.append(t.body)
+        elif isinstance(t, App):
+            todo += [t.arg, t.fn]
+        elif isinstance(t, Op):
+            todo += reversed(t.args)
+    return out
+
+
 def _parsed(parse, *args):
-    """The result, or the type, message and offset of the error raised."""
+    """The result, with the free names of every node of a term, or the
+    type, message and offset of the error raised."""
     try:
-        return parse(*args)
+        result = parse(*args)
     except (ed.ParseError, ed.KindError) as exc:
         return type(exc), str(exc), getattr(exc, "pos", None)
+    if isinstance(result, lang.Term):
+        return result, [node._fv for node in _subterms(result)]
+    return result
 
 
 # single tokens: every punctuation mark and operation name, identifiers,
@@ -574,6 +594,20 @@ class TestAgainstReferenceParser:
                 for parse_kind in _PARSE_KINDS:
                     assert _parsed(lang.parse, src, parse_kind) == \
                         _parsed(reference_parse.parse, src, parse_kind)
+
+    def test_nodes_are_frozen_and_hash_like_constructed_ones(self):
+        # "_" is free at the end, so the sequence binds "__1" instead
+        src = "(\\x. union(x, y)) v ; raise[e]() ; \\z. _ _1"
+        built = _subterms(ed.parse(src))
+        constructed = _subterms(reference_parse.parse(src))
+        assert len(built) == len(constructed) == 15
+        assert built[1].param == "__1"
+        for node, twin in zip(built, constructed):
+            assert node == twin and hash(node) == hash(twin)
+            assert node._fv == twin._fv and repr(node) == repr(twin)
+            field = dataclasses.fields(node)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, None)
 
     def test_identifier_tail_is_isalnum_or_underscore_or_quote(self):
         tail = lang._IDENT_TAIL
