@@ -281,7 +281,8 @@ def _op(desc: OpDescriptor, args: tuple) -> Op:
 
 
 # frames of the parse stack: the whole program, a parenthesis, the body
-# of an abstraction, and the argument list of an operation
+# of an abstraction (its data is the parameter), and the argument list
+# of an operation (its data is descriptor, name, offset and arguments)
 _PROGRAM, _GROUP, _BODY, _ARGS = range(4)
 
 
