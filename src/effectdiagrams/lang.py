@@ -282,7 +282,7 @@ def _op(desc: OpDescriptor, args: tuple) -> Op:
 
 # frames of the parse stack: the whole program, a parenthesis, the body
 # of an abstraction (its data is the parameter), and the argument list
-# of an operation (its data is descriptor, name, offset and arguments)
+# of an operation (its data is descriptor, offset and arguments)
 _PROGRAM, _GROUP, _BODY, _ARGS = range(4)
 
 
@@ -350,8 +350,7 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                 if tokens[i + 1][1] != ")":
                     i += 1
                     stack.append((frame, parts, fn, data))
-                    frame, parts, fn, data = _ARGS, [], None, (desc, text,
-                                                               pos, [])
+                    frame, parts, fn, data = _ARGS, [], None, (desc, pos, [])
                     continue
                 i += 2
                 if desc.arity:
@@ -395,7 +394,7 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                         f"trailing input starting at {text!r}", pos)
                 return fn
             if frame == _ARGS:
-                desc, name, op_pos, args = data
+                desc, op_pos, args = data
                 args.append(fn)
                 if text == ",":
                     parts, fn = [], None
@@ -405,9 +404,8 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
             if frame == _GROUP:
                 atom = fn
             elif len(args) != desc.arity:
-                raise ParseError(
-                    f"{name} expects {desc.arity} arguments, got {len(args)}",
-                    op_pos)
+                raise ParseError(f"{desc.name} expects {desc.arity} "
+                                 f"arguments, got {len(args)}", op_pos)
             else:
                 atom = _op(desc, tuple(args))
             frame, parts, fn, data = stack.pop()
