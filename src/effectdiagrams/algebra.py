@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .monads import (ArityError, KindError, MonadKind, MonadValue, bind,
-                     bottom, map_carrier, op_apply, signature, unit,
-                     OpDescriptor)
+                     bottom, map_carrier, op_apply, op_effect, signature,
+                     unit, OpDescriptor)
 from .presentations import (ArityCapError, GenericEffect, MAX_ARITY,
                             Presentation, _trusted_effect,
                             _trusted_presentation)
@@ -55,9 +55,10 @@ def descriptor_op(desc: OpDescriptor) -> DerivedOperation:
 
 
 def op_to_effect(op: Union[DerivedOperation, OpDescriptor]) -> GenericEffect:
-    """The effect induced by an operation: apply it to the unit row."""
+    """The effect induced by an operation: apply it to the unit row, or
+    for a signature operation read the generic effect that defines it."""
     if isinstance(op, OpDescriptor):
-        op = descriptor_op(op)
+        return GenericEffect(op.arity, op_effect(op))
     units = [unit(op.kind, i) for i in range(1, op.arity + 1)]
     return GenericEffect(op.arity, op.apply(*units))
 

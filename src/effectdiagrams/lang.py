@@ -26,6 +26,10 @@ path, because the shared result was computed with the fuel that path
 has left.  Applying a syntactic value skips ``bind(unit(f), ...)`` by
 the monad left-unit law.
 
+Terms are frozen ``Var``, ``Abs``, ``App`` and ``Op`` nodes, and their
+constructors are the only way they are built: by the parser, by
+``substitute`` and by callers alike.
+
 Operation arguments and applications evaluate left to right.  Note the
 evaluation order inside an operation is a choice this module makes; for
 the non-commutative instances (exceptions, state, output) reordering
@@ -63,45 +67,49 @@ class Term:
 
     Every node carries ``_fv``, its set of free variables, computed once
     when it is built; it takes no part in ``==``, ``hash`` or ``repr``.
+    Each constructor fills the frozen fields directly rather than through
+    ``object.__setattr__``; a child that is not a ``Term`` raises
+    ``TypeError``.
     """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Var(Term):
     name: str
     _fv: frozenset = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_fv", frozenset((self.name,)))
+    def __init__(self, name: str):
+        self.__dict__.update(name=name, _fv=frozenset((name,)))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Abs(Term):
     param: str
     body: Term
     _fv: frozenset = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_fv", free_vars(self.body) - {self.param})
+    def __init__(self, param: str, body: Term):
+        self.__dict__.update(param=param, body=body,
+                             _fv=free_vars(body) - {param})
 
     def __str__(self):
         return f"\\{self.param}. {self.body}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class App(Term):
     fn: Term
     arg: Term
     _fv: frozenset = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_fv",
-                           free_vars(self.fn) | free_vars(self.arg))
+    def __init__(self, fn: Term, arg: Term):
+        self.__dict__.update(fn=fn, arg=arg,
+                             _fv=free_vars(fn) | free_vars(arg))
 
     def __str__(self):
         fn = f"({self.fn})" if isinstance(self.fn, Abs) else str(self.fn)
@@ -110,20 +118,19 @@ class App(Term):
         return f"{fn} {arg}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Op(Term):
     op: OpDescriptor
     args: tuple
     _fv: frozenset = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.op.arity:
+    def __init__(self, op: OpDescriptor, args):
+        args = tuple(args)
+        if len(args) != op.arity:
             raise ParseError(
-                f"{self.op.name} expects {self.op.arity} arguments, "
-                f"got {len(self.args)}", 0)
-        object.__setattr__(self, "_fv", frozenset().union(
-            *map(free_vars, self.args)))
+                f"{op.name} expects {op.arity} arguments, got {len(args)}", 0)
+        self.__dict__.update(op=op, args=args, _fv=frozenset().union(
+            *map(free_vars, args)))
 
     def __str__(self):
         name, idx = self.op.name, self.op.index
@@ -258,28 +265,6 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# The parser builds its nodes without the dataclass __init__: it checks
-# operation arities itself, and each node's free variables follow from
-# its children's exactly as in __post_init__.
-def _app(fn: Term, arg: Term) -> App:
-    node = object.__new__(App)
-    node.__dict__.update(fn=fn, arg=arg, _fv=fn._fv | arg._fv)
-    return node
-
-
-def _abs(param: str, body: Term) -> Abs:
-    node = object.__new__(Abs)
-    node.__dict__.update(param=param, body=body, _fv=body._fv - {param})
-    return node
-
-
-def _op(desc: OpDescriptor, args: tuple) -> Op:
-    node = object.__new__(Op)
-    node.__dict__.update(op=desc, args=args, _fv=frozenset().union(
-        *[a._fv for a in args]))
-    return node
-
-
 # frames of the parse stack: the whole program, a parenthesis, the body
 # of an abstraction (its data is the parameter), and the argument list
 # of an operation (its data is descriptor, offset and arguments)
@@ -293,7 +278,7 @@ def _sequence(parts: list) -> Term:
     for left in parts[-2::-1]:
         taken = term._fv
         ignored = "_" if "_" not in taken else _fresh("_", taken)
-        term = _app(_abs(ignored, term), left)
+        term = App(Abs(ignored, term), left)
     return term
 
 
@@ -356,7 +341,7 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                 if desc.arity:
                     raise ParseError(
                         f"{text} expects {desc.arity} arguments, got 0", pos)
-                atom = _op(desc, ())
+                atom = Op(desc, ())
         elif text == "(":
             stack.append((frame, parts, fn, data))
             frame, parts, fn, data = _GROUP, [], None, None
@@ -385,9 +370,9 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                     fn = _sequence(parts)
                 if frame != _BODY:
                     break
-                atom = _abs(data, fn)
+                atom = Abs(data, fn)
                 frame, parts, fn, data = stack.pop()
-                fn = atom if fn is None else _app(fn, atom)
+                fn = atom if fn is None else App(fn, atom)
             if frame == _PROGRAM:
                 if typ != "eof":
                     raise ParseError(
@@ -407,9 +392,9 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                 raise ParseError(f"{desc.name} expects {desc.arity} "
                                  f"arguments, got {len(args)}", op_pos)
             else:
-                atom = _op(desc, tuple(args))
+                atom = Op(desc, args)
             frame, parts, fn, data = stack.pop()
-        fn = atom if fn is None else _app(fn, atom)
+        fn = atom if fn is None else App(fn, atom)
 
 
 def parse(src: str, kind: Optional[MonadKind] = None,

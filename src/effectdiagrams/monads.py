@@ -15,7 +15,10 @@ elements:
 
 Each instance is one ``Instance`` subclass holding everything that
 depends on its tag; ``INSTANCES`` maps tags to them and the module-level
-functions dispatch through it.  ``MonadValue(kind, payload)`` validates
+functions dispatch through it.  An operation is given only by its
+generic effect, a payload over ``1..arity`` (Plotkin and Power, 2003);
+``op_apply`` is ``join`` over that effect, so every operation is
+algebraic by the Kleisli laws.  ``MonadValue(kind, payload)`` validates
 its payload; values built here from values that are already valid skip
 that check.
 
@@ -91,11 +94,15 @@ class MonadKind:
         inst.check_kind(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Present:
     """A converged result carrying one carrier element."""
 
     value: Any
+
+    def __init__(self, value):
+        # the frozen dataclass __init__ would go through object.__setattr__
+        self.__dict__["value"] = value
 
 
 @dataclass(frozen=True)
@@ -111,14 +118,6 @@ class Diverge:
 
 
 DIVERGE = Diverge()
-
-
-def _present(value) -> Present:
-    """``Present(value)`` without the frozen dataclass ``__init__``, for
-    the state tables, which build one cell per store."""
-    cell = object.__new__(Present)
-    cell.__dict__["value"] = value
-    return cell
 
 
 @dataclass(frozen=True)
@@ -373,7 +372,7 @@ class Exc(Maybe):
     def bad_index(self, kind, name, index):
         return f"unknown exception label {index!r}"
 
-    def apply(self, kind, name, index, args):
+    def effect(self, kind, name, index):
         return Raised(index)
 
     def random(self, kind, rng, carrier):
@@ -410,8 +409,8 @@ class Powerset(Instance):
     def leq(self, a, b):
         return a <= b
 
-    def apply(self, kind, name, index, args):
-        return args[0] | args[1]
+    def effect(self, kind, name, index):
+        return _PAIR
 
     def to_obj(self, payload):
         return {"elements": [value_to_obj(x) for x in self.support(payload)]}
@@ -464,8 +463,9 @@ def _probability_from_obj(text) -> Fraction:
                      f'of digits with q > 0')
 
 
-# the fair coin that choice binds over its two arguments
-_HALVES = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+# the generic effects of union and choice: both indices, or a fair coin
+_PAIR = frozenset((1, 2))
+_HALVES = MappingProxyType({1: Fraction(1, 2), 2: Fraction(1, 2)})
 
 
 class Dist(Instance):
@@ -533,8 +533,8 @@ class Dist(Instance):
     def leq(self, a, b):
         return all(p <= b.get(x, 0) for x, p in a.items())
 
-    def apply(self, kind, name, index, args):
-        return self.join(_HALVES, args)
+    def effect(self, kind, name, index):
+        return _HALVES
 
     def to_obj(self, payload):
         return {"entries": [[value_to_obj(x), str(payload[x])]
@@ -575,10 +575,13 @@ def _stores(width: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _written(width: int, i: int, bit: int) -> tuple:
-    """Each store of ``_stores(width)`` with location ``i`` set to ``bit``:
-    the stores ``write`` reads its argument at.  At most 20 entries."""
-    return tuple([s[:i] + (bit,) + s[i + 1:] for s in _stores(width)])
+def _state_effect(width: int, i: int, bit: Optional[int]) -> Mapping:
+    """The generic effect of ``read`` at location ``i`` (``bit`` None),
+    which returns 1 plus the bit there, or of ``write``, which sets it to
+    ``bit`` and returns 1.  Shared, so read-only; at most 30 tables."""
+    return MappingProxyType({s: Present(
+        (s[i] + 1, s) if bit is None else (1, s[:i] + (bit,) + s[i + 1:]))
+        for s in _stores(width)})
 
 
 def _bits(store) -> str:
@@ -627,7 +630,7 @@ class State(Instance):
         return Present((x, nxt))
 
     def unit(self, kind, x):
-        return {s: _present((x, s)) for s in _stores(len(kind.params))}
+        return {s: Present((x, s)) for s in _stores(len(kind.params))}
 
     def bottom(self, kind):
         return dict.fromkeys(_stores(len(kind.params)), DIVERGE)
@@ -645,7 +648,7 @@ class State(Instance):
                 x, nxt = c.value
                 if x not in image:
                     image[x] = g(x)
-                table[s] = _present((image[x], nxt))
+                table[s] = Present((image[x], nxt))
             else:
                 table[s] = DIVERGE
         return table
@@ -685,14 +688,9 @@ class State(Instance):
             index = index[0]
         return f"unknown location {index!r}"
 
-    def apply(self, kind, name, index, args):
-        all_stores = _stores(len(kind.params))
-        if name == "read":
-            i = kind.params.index(index)
-            return {s: args[s[i]][s] for s in all_stores}
-        loc, bit = index
-        written = _written(len(kind.params), kind.params.index(loc), bit)
-        return dict(zip(all_stores, map(args[0].__getitem__, written)))
+    def effect(self, kind, name, index):
+        loc, bit = (index, None) if name == "read" else index
+        return _state_effect(len(kind.params), kind.params.index(loc), bit)
 
     def minimal_kind(self, name, index):
         return self.make_kind((index if name == "read" else index[0],))
@@ -790,9 +788,8 @@ class Output(Instance):
     def bad_index(self, kind, name, index):
         return f"character {index!r} not in the alphabet"
 
-    def apply(self, kind, name, index, args):
-        w, tail = args[0]
-        return (index + w, tail)
+    def effect(self, kind, name, index):
+        return (index, Present(1))
 
     def to_obj(self, payload):
         return {"out": payload[0], **_CELL.to_obj(payload[1])}
@@ -920,8 +917,16 @@ def signature(kind: MonadKind) -> tuple[OpDescriptor, ...]:
                  for index in inst.indices(kind, name))
 
 
+def op_effect(desc: OpDescriptor) -> MonadValue:
+    """The generic effect of a signature operation, over ``1..arity``."""
+    kind = desc.kind
+    return _trusted(kind, INSTANCES[kind.tag].effect(
+        kind, desc.name, desc.index))
+
+
 def op_apply(desc: OpDescriptor, args: Sequence[MonadValue]) -> MonadValue:
-    """Apply one signature operation to monadic arguments."""
+    """Apply one signature operation to monadic arguments: bind its
+    generic effect over them, which returns ``1..arity`` in order."""
     if len(args) != desc.arity:
         raise ArityError(
             f"{desc.name} expects {desc.arity} arguments, got {len(args)}")
@@ -930,5 +935,6 @@ def op_apply(desc: OpDescriptor, args: Sequence[MonadValue]) -> MonadValue:
         if a.kind != kind:
             raise KindError(
                 f"argument of kind {a.kind.tag} passed to a {kind.tag} op")
-    return _trusted(kind, INSTANCES[kind.tag].apply(
-        kind, desc.name, desc.index, [a.payload for a in args]))
+    inst = INSTANCES[kind.tag]
+    return _trusted(kind, inst.join(inst.effect(kind, desc.name, desc.index),
+                                    [a.payload for a in args]))

@@ -110,19 +110,21 @@ def decompose(mu: MonadValue) -> Presentation:
     return _trusted_presentation(_trusted_effect(len(elems), body), elems)
 
 
-def diagram_eq(xi: Presentation, rho: Presentation) -> bool:
-    """Semantic equality: both sides interpret to the same value."""
+def _same_kind(xi: Presentation, rho: Presentation) -> None:
     if xi.kind != rho.kind:
         raise KindError(
             f"cannot compare {xi.kind.tag} with {rho.kind.tag} presentations")
+
+
+def diagram_eq(xi: Presentation, rho: Presentation) -> bool:
+    """Semantic equality: both sides interpret to the same value."""
+    _same_kind(xi, rho)
     return interpret(xi) == interpret(rho)
 
 
 def diagram_leq(xi: Presentation, rho: Presentation) -> bool:
     """Semantic order: compare the interpretations."""
-    if xi.kind != rho.kind:
-        raise KindError(
-            f"cannot compare {xi.kind.tag} with {rho.kind.tag} presentations")
+    _same_kind(xi, rho)
     return leq(interpret(xi), interpret(rho))
 
 

@@ -609,6 +609,39 @@ class TestAgainstReferenceParser:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, field, None)
 
+    def test_constructor_parser_and_substitute_build_alike(self):
+        union = ed.OpDescriptor("union", ed.POWERSET)
+        by_constructor = App(Abs("x", Op(union, [Var("x"), Var("y")])),
+                             Var("v"))
+        by_parser = ed.parse("(\\x. union(x, y)) v", ed.POWERSET)
+        by_substitute = ed.substitute(
+            ed.parse("(\\x. union(x, w)) v", ed.POWERSET), "w", Var("y"))
+        trees = [_subterms(t)
+                 for t in (by_constructor, by_parser, by_substitute)]
+        assert len(trees[0]) == 6
+        for nodes in zip(*trees):
+            for node in nodes:
+                assert node == nodes[0] and hash(node) == hash(nodes[0])
+                assert node._fv == nodes[0]._fv
+                for field in dataclasses.fields(node):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(node, field.name, None)
+        cells = [ed.Present(("a", (1,))),
+                 ed.unit(ed.state_kind(["l0"]), "a").payload[(1,)]]
+        assert cells[0] == cells[1] and hash(cells[0]) == hash(cells[1])
+        for cell in cells:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                cell.value = None
+
+    @pytest.mark.parametrize("build", [
+        lambda: Abs("x", "y"), lambda: App(Var("f"), 3),
+        lambda: App(None, Var("a")),
+        lambda: Op(ed.OpDescriptor("union", ed.POWERSET), [Var("a"), "b"]),
+    ], ids=["abs", "app-arg", "app-fn", "op"])
+    def test_non_term_child_raises_type_error(self, build):
+        with pytest.raises(TypeError, match="not a term"):
+            build()
+
     def test_identifier_tail_is_isalnum_or_underscore_or_quote(self):
         tail = lang._IDENT_TAIL
         assert all((c.isalnum() or c in "_'") ==

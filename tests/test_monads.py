@@ -5,6 +5,7 @@ import inspect
 import itertools
 import random
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import hypothesis.strategies as st
 import pytest
@@ -436,7 +437,8 @@ class TestExactArithmetic:
     @given(big_payloads(), big_payloads())
     def test_choice(self, a, b):
         halves = {0: F(1, 2), 1: F(1, 2)}
-        _same(DIST_INSTANCE.apply(ed.DIST, "choice", None, [a, b]),
+        choice = ed.signature(ed.DIST)[0]
+        _same(ed.op_apply(choice, [dist(a), dist(b)]).payload,
               ref_join(halves, [a, b]))
 
     @settings(max_examples=30, deadline=None)
@@ -547,7 +549,8 @@ class TestStateTables:
         kind = data.draw(STATE_KINDS)
         arg = data.draw(state_tables(kind))
         loc = data.draw(st.sampled_from(kind.params))
-        _same_table(STATE_INSTANCE.apply(kind, "write", (loc, bit), [arg]),
+        write = ed.OpDescriptor("write", kind, (loc, bit))
+        _same_table(ed.op_apply(write, [ed.MonadValue(kind, arg)]).payload,
                     ref_state_write(kind, loc, bit, arg))
 
     def test_cells_built_unchecked_stay_frozen(self):
@@ -561,6 +564,87 @@ class TestStateTables:
             assert hash(cell) == hash(ed.Present(cell.value))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 cell.value = ("b", (0,))
+
+
+# The operations as each instance applied them before they became join
+# over their generic effects: TestGenericEffects holds op_apply to these.
+def ref_exc_apply(kind, name, index, args):
+    return ed.Raised(index)
+
+
+def ref_set_apply(kind, name, index, args):
+    return args[0] | args[1]
+
+
+def ref_dist_apply(kind, name, index, args):
+    return DIST_INSTANCE.join({0: F(1, 2), 1: F(1, 2)}, args)
+
+
+def ref_state_apply(kind, name, index, args):
+    all_stores = ed.stores(kind)
+    if name == "read":
+        i = kind.params.index(index)
+        return {s: args[s[i]][s] for s in all_stores}
+    loc, bit = index
+    i = kind.params.index(loc)
+    return {s: args[0][s[:i] + (bit,) + s[i + 1:]] for s in all_stores}
+
+
+def ref_output_apply(kind, name, index, args):
+    w, tail = args[0]
+    return (index + w, tail)
+
+
+REF_APPLY = {"exc": ref_exc_apply, "set": ref_set_apply,
+             "dist": ref_dist_apply, "state": ref_state_apply,
+             "output": ref_output_apply}
+
+# every kind of the law suite, and state at each width
+OP_KINDS = tuple(dict.fromkeys([
+    *ed.default_kinds(),
+    *(ed.state_kind([f"l{i}" for i in range(w)]) for w in range(1, 5))]))
+
+
+class TestGenericEffects:
+    """``op_apply`` is ``join`` over the operation's generic effect; it
+    must agree with the per-instance operations it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_op_apply_matches_reference(self, data):
+        kind = data.draw(st.sampled_from(OP_KINDS))
+        for desc in ed.signature(kind):
+            args = [data.draw(values_for(kind)) for _ in range(desc.arity)]
+            got = ed.op_apply(desc, args).payload
+            want = REF_APPLY[kind.tag](kind, desc.name, desc.index,
+                                       [a.payload for a in args])
+            assert got == want
+            if isinstance(want, dict):
+                assert list(got) == list(want)
+
+    @pytest.mark.parametrize("kind", OP_KINDS,
+                             ids=lambda k: f"{k.tag}{len(k.params)}")
+    def test_effect_returns_its_indices_in_order(self, kind):
+        inst = ed.monads.INSTANCES[kind.tag]
+        for desc in ed.signature(kind):
+            n = desc.arity
+            eff = ed.op_to_effect(desc)
+            assert list(inst.returns(eff.body.payload)) == \
+                list(range(1, n + 1))
+            assert eff.body == ed.op_apply(
+                desc, [ed.unit(kind, i) for i in range(1, n + 1)])
+            # divergent cells, empty sets and empty dists for certain
+            bottoms = [ed.bottom(kind)] * n
+            assert ed.op_apply(desc, bottoms).payload == REF_APPLY[kind.tag](
+                kind, desc.name, desc.index, [b.payload for b in bottoms])
+            # the state tables are cached and shared by every caller
+            payload = eff.body.payload
+            if isinstance(payload, (dict, MappingProxyType)):
+                with pytest.raises(TypeError):
+                    payload[next(iter(payload))] = None
+            else:
+                hash(payload)
+
 
 class TestValidation:
     def test_dist_rejects_excess_mass(self):
