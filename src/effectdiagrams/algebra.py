@@ -22,8 +22,7 @@ from .monads import (ArityError, KindError, MonadKind, MonadValue, bind,
                      bottom, map_carrier, op_apply, op_effect, signature,
                      unit, OpDescriptor)
 from .presentations import (ArityCapError, GenericEffect, MAX_ARITY,
-                            Presentation, _trusted_effect,
-                            _trusted_presentation)
+                            Presentation)
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,12 @@ def op_to_effect(op: Union[DerivedOperation, OpDescriptor]) -> GenericEffect:
 
 def trivial_effect(kind: MonadKind) -> GenericEffect:
     """The neutral effect for composition: return index 1, do nothing."""
-    return _trusted_effect(1, unit(kind, 1))
+    return GenericEffect(1, unit(kind, 1))
 
 
 def bottom_effect(kind: MonadKind, arity: int = 0) -> GenericEffect:
     """The least effect at any arity; all of them interpret to bottom."""
-    return _trusted_effect(arity, bottom(kind))
+    return GenericEffect(arity, bottom(kind))
 
 
 def seq_compose(xi: Presentation,
@@ -103,7 +102,7 @@ def seq_compose(xi: Presentation,
 
     body = bind(xi.effect.body, block)
     row = tuple([x for member in family for x in member.row])
-    return _trusted_presentation(_trusted_effect(total, body), row)
+    return Presentation(GenericEffect(total, body), row)
 
 
 def algebraic_violation(op: DerivedOperation, args: Sequence[MonadValue],

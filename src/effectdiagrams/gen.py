@@ -14,8 +14,7 @@ import random
 from typing import Callable, Optional, Sequence
 
 from .monads import INSTANCES, MonadKind, MonadValue, _trusted
-from .presentations import (GenericEffect, Presentation, _trusted_effect,
-                            _trusted_presentation)
+from .presentations import GenericEffect, Presentation
 
 LETTERS = ("a", "b", "c", "d", "e")
 
@@ -32,7 +31,7 @@ def random_effect(kind: MonadKind, rng: random.Random,
     """A random generic effect of bounded arity."""
     n = rng.randint(0, max_arity)
     body = random_value(kind, rng, carrier=range(1, n + 1))
-    return _trusted_effect(n, body)
+    return GenericEffect(n, body)
 
 
 def random_presentation(kind: MonadKind, rng: random.Random,
@@ -41,7 +40,7 @@ def random_presentation(kind: MonadKind, rng: random.Random,
     """A random presentation; rows may repeat carrier elements."""
     eff = random_effect(kind, rng, max_arity=max_arity)
     row = tuple([rng.choice(list(carrier)) for _ in range(eff.arity)])
-    return _trusted_presentation(eff, row)
+    return Presentation(eff, row)
 
 
 def random_kleisli(kind: MonadKind, rng: random.Random,

@@ -45,8 +45,9 @@ from typing import Mapping, Optional
 
 from .algebra import seq_compose
 # SignatureError is re-exported: parsing and evaluation raise it
-from .monads import (INSTANCES, MonadKind, MonadValue, OpDescriptor,
-                     SignatureError, bind, bottom, op_apply, unit)
+from .monads import (INSTANCES, ArityError, MonadKind, MonadValue,
+                     OpDescriptor, SignatureError, bind, bottom, op_apply,
+                     unit)
 from .presentations import Presentation, decompose
 
 
@@ -69,7 +70,8 @@ class Term:
     when it is built; it takes no part in ``==``, ``hash`` or ``repr``.
     Each constructor fills the frozen fields directly rather than through
     ``object.__setattr__``; a child that is not a ``Term`` raises
-    ``TypeError``.
+    ``TypeError``, and an ``Op`` with the wrong number of arguments
+    ``ArityError``.
     """
 
     __slots__ = ()
@@ -127,8 +129,8 @@ class Op(Term):
     def __init__(self, op: OpDescriptor, args):
         args = tuple(args)
         if len(args) != op.arity:
-            raise ParseError(
-                f"{op.name} expects {op.arity} arguments, got {len(args)}", 0)
+            raise ArityError(
+                f"{op.name} expects {op.arity} arguments, got {len(args)}")
         self.__dict__.update(op=op, args=args, _fv=frozenset().union(
             *map(free_vars, args)))
 

@@ -6,6 +6,11 @@ carrier elements.  ``interpret`` collapses the pair back into a monadic
 value by relabelling indices with row entries; ``decompose`` produces the
 canonical minimal presentation of any value.  Two presentations count as
 equal exactly when they interpret to the same value.
+
+``GenericEffect(arity, body)`` and ``Presentation(effect, row)`` are the
+only way to build the two types, here and in every other module, so each
+effect returns only indices in ``1..arity`` and each row has ``arity``
+entries.
 """
 
 from __future__ import annotations
@@ -34,61 +39,50 @@ def _check_arity(arity) -> None:
         raise ArityCapError(f"arity {arity} exceeds the cap of {MAX_ARITY}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GenericEffect:
     """The effect part: a monadic value over the index set ``{1, .., n}``.
 
     A non-``int`` arity raises ``TypeError``, one above ``MAX_ARITY``
-    ``ArityCapError``, a negative one or a wider body ``ValueError``."""
+    ``ArityCapError``, a negative one or a body that returns an index
+    outside ``1..n`` ``ValueError``."""
 
     arity: int
     body: MonadValue
 
-    def __post_init__(self):
-        _check_arity(self.arity)
-        indices = set(range(1, self.arity + 1))
-        if not set(support(self.body)) <= indices:
-            raise ValueError(
-                f"effect body mentions indices outside 1..{self.arity}")
+    def __init__(self, arity: int, body: MonadValue):
+        _check_arity(arity)
+        indices = range(1, arity + 1)
+        for i in INSTANCES[body.kind.tag].returns(body.payload):
+            if i not in indices:
+                raise ValueError(
+                    f"effect body mentions indices outside 1..{arity}")
+        # the frozen dataclass __init__ would go through object.__setattr__
+        self.__dict__.update(arity=arity, body=body)
 
     @property
     def kind(self) -> MonadKind:
         return self.body.kind
 
 
-def _trusted_effect(arity: int, body: MonadValue) -> GenericEffect:
-    """An effect whose body lives over ``1..arity`` by construction:
-    the arity is checked as ``GenericEffect`` does, the support is not."""
-    _check_arity(arity)
-    eff = object.__new__(GenericEffect)
-    eff.__dict__.update(arity=arity, body=body)
-    return eff
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Presentation:
     """A generic effect paired with a value row of matching length."""
 
     effect: GenericEffect
     row: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "row", tuple(self.row))
-        if len(self.row) != self.effect.arity:
+    def __init__(self, effect: GenericEffect, row: Sequence):
+        row = tuple(row)
+        if len(row) != effect.arity:
             raise ValueError(
-                f"row length {len(self.row)} does not match "
-                f"arity {self.effect.arity}")
+                f"row length {len(row)} does not match "
+                f"arity {effect.arity}")
+        self.__dict__.update(effect=effect, row=row)
 
     @property
     def kind(self) -> MonadKind:
         return self.effect.kind
-
-
-def _trusted_presentation(effect: GenericEffect, row: tuple) -> Presentation:
-    """A presentation whose row is a tuple of ``effect.arity`` entries."""
-    pres = object.__new__(Presentation)
-    pres.__dict__.update(effect=effect, row=row)
-    return pres
 
 
 def interpret(pres: Presentation) -> MonadValue:
@@ -107,7 +101,7 @@ def decompose(mu: MonadValue) -> Presentation:
     elems = tuple(support(mu))
     index = {x: i + 1 for i, x in enumerate(elems)}
     body = map_carrier(mu, lambda x: index[x])
-    return _trusted_presentation(_trusted_effect(len(elems), body), elems)
+    return Presentation(GenericEffect(len(elems), body), elems)
 
 
 def _same_kind(xi: Presentation, rho: Presentation) -> None:
@@ -153,7 +147,7 @@ def extend(pres: Presentation, iota: Sequence[int], m: int,
     body = map_carrier(pres.effect.body, lambda i: iota[i - 1])
     slot = dict(zip((*iota, *missing), (*pres.row, *fill)))
     row = tuple([slot[p] for p in range(1, m + 1)])
-    return _trusted_presentation(_trusted_effect(m, body), row)
+    return Presentation(GenericEffect(m, body), row)
 
 
 def _effect_text(eff: GenericEffect) -> str:

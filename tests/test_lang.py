@@ -94,6 +94,13 @@ class TestParse:
         with pytest.raises(ed.ParseError):
             ed.parse("choice(v)")
 
+    def test_op_constructor_arity_mismatch_is_an_arity_error(self):
+        # nothing was parsed, so there is no offset to report
+        with pytest.raises(ed.ArityError) as err:
+            Op(ed.OpDescriptor("union", ed.POWERSET), [Var("a")])
+        assert not isinstance(err.value, ed.ParseError)
+        assert str(err.value) == "union expects 2 arguments, got 1"
+
     def test_op_under_wrong_kind(self):
         with pytest.raises(ed.SignatureError):
             ed.parse("choice(v, w)", kind=ed.MAYBE)
@@ -143,6 +150,10 @@ class TestSubstitute:
         assert isinstance(got, Abs)
         assert got.param != "y"
         assert got.body == Var("y")
+
+    def test_renaming_skips_names_already_free(self):
+        got = ed.substitute(ed.parse("\\x. y x_1"), "y", Var("x"))
+        assert str(got) == "\\x_2. x x_1"
 
     def test_beta_equivalence_preserved(self):
         # ((\y. x y) applied later must not capture the substituted y

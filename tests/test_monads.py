@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import effectdiagrams as ed
-from effectdiagrams import gen
+from effectdiagrams import gen, serialize
 
 from strategies import (ALL_KINDS, CARRIER, EXC, OUTPUT, STATE,
                         kind_and_value, kind_value_and_kleisli, kinds,
@@ -209,6 +209,10 @@ class TestSupport:
         table[(0, 0)] = ed.Present(("b", (1, 1)))
         table[(1, 1)] = ed.Present(("a", (0, 0)))
         assert ed.support(ed.MonadValue(STATE, table)) == ["a", "b"]
+
+    def test_tuples_sort_after_strings_componentwise(self):
+        mu = pset((2, "a"), (1, "b"), (1, "a"), "z", 3)
+        assert ed.support(mu) == [3, "z", (1, "a"), (1, "b"), (2, "a")]
 
 
 class TestLeq:
@@ -698,6 +702,37 @@ class TestValidation:
     ])
     def test_field_names(self, cls, names):
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
+
+
+BOTTOM_TABLE = ed.bottom(STATE).payload
+
+
+class TestKindErrorMessages:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ed.MonadValue(STATE, {**BOTTOM_TABLE, "s": ed.DIVERGE}),
+         "state table mentions stores outside the kind"),
+        (lambda: ed.MonadValue(STATE, {**BOTTOM_TABLE, (0, 1): "v"}),
+         "bad state cell 'v'"),
+        (lambda: ed.MonadValue(STATE, {**BOTTOM_TABLE,
+                                       (0, 1): ed.Present(("v", (0, 2)))}),
+         r"bad successor store \(0, 2\)"),
+        (lambda: serialize.loads(
+            '{"kind":"state","locations":["l0"],'
+            '"table":[["0",null],["2",null]]}'),
+         "bad serialized store '2'"),
+        (lambda: ed.output_kind(()),
+         "output monad needs a non-empty alphabet"),
+        (lambda: ed.stores(ed.MAYBE),
+         r"stores\(\) only applies to the state monad"),
+        (lambda: ed.mass(ed.unit(ed.MAYBE, "v")),
+         r"mass\(\) only applies to the dist monad"),
+        (lambda: ed.op_apply(ed.OpDescriptor("union", ed.POWERSET),
+                             [ed.unit(ed.DIST, "v"), ed.unit(ed.DIST, "w")]),
+         "argument of kind dist passed to a set op"),
+    ])
+    def test_message(self, build, message):
+        with pytest.raises(ed.KindError, match=message):
+            build()
 
 
 class TestDescriptorValidation:

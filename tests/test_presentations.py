@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effectdiagrams as ed
-from effectdiagrams import gen, monads, presentations
+from effectdiagrams import gen, lawcheck, monads, presentations
 
 from strategies import ALL_KINDS, CARRIER, kind_and_value
 
@@ -266,7 +266,7 @@ class TestGenericEffectInvariants:
     @given(kind_and_value(), st.integers(0, 2 ** 32))
     @settings(max_examples=60)
     def test_internal_builders_give_valid_effects(self, kv, seed):
-        # what the unchecked path builds passes the checked constructor
+        # what the library builds equals a fresh construction from its parts
         kind, mu = kv
         xi = ed.decompose(mu)
         rng = random.Random(seed)
@@ -281,7 +281,7 @@ class TestGenericEffectInvariants:
     @given(kind_and_value(), st.integers(0, 2 ** 32))
     @settings(max_examples=60)
     def test_internal_builders_give_valid_presentations(self, kv, seed):
-        # what the unchecked path builds passes the checked constructor
+        # what the library builds equals a fresh construction from its parts
         kind, mu = kv
         xi = ed.decompose(mu)
         n = xi.effect.arity
@@ -295,6 +295,32 @@ class TestGenericEffectInvariants:
     def test_row_length_checked(self):
         with pytest.raises(ValueError):
             ed.Presentation(ed.trivial_effect(ed.DIST), ("x", "y"))
+
+    def test_support_check_matches_the_set_rule(self):
+        # the constructor walks the returned indices; the reference is the
+        # old rule, which sorted the support and compared sets, so values
+        # equal to an index (True, 1.0, Fraction(2)) count as that index
+        def reference_ok(n, body):
+            return set(ed.support(body)) <= set(range(1, n + 1))
+
+        rng = random.Random(14)
+        verdicts = set()
+        for kind in lawcheck.default_kinds():
+            for n in range(6):
+                pool = [*range(1, n + 1), 0, n + 1, -1, "a", True, 1.0, F(2)]
+                for _ in range(60):
+                    carrier = rng.sample(pool, rng.randint(1, len(pool)))
+                    body = gen.random_value(kind, rng, carrier)
+                    ok = reference_ok(n, body)
+                    verdicts.add(ok)
+                    if ok:
+                        assert ed.GenericEffect(n, body).body == body
+                    else:
+                        with pytest.raises(ValueError, match=(
+                                f"effect body mentions indices outside "
+                                f"1..{n}")):
+                            ed.GenericEffect(n, body)
+        assert verdicts == {True, False}
 
 
 class TestImmutability:
