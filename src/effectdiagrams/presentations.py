@@ -44,17 +44,16 @@ class GenericEffect:
     """The effect part: a monadic value over the index set ``{1, .., n}``.
 
     A non-``int`` arity raises ``TypeError``, one above ``MAX_ARITY``
-    ``ArityCapError``, a negative one or a body that returns an index
-    outside ``1..n`` ``ValueError``."""
+    ``ArityCapError``, a negative one or a body that returns anything but
+    an ``int`` in ``1..n`` ``ValueError``."""
 
     arity: int
     body: MonadValue
 
     def __init__(self, arity: int, body: MonadValue):
         _check_arity(arity)
-        indices = range(1, arity + 1)
         for i in INSTANCES[body.kind.tag].returns(body.payload):
-            if i not in indices:
+            if type(i) is not int or not 1 <= i <= arity:
                 raise ValueError(
                     f"effect body mentions indices outside 1..{arity}")
         # the frozen dataclass __init__ would go through object.__setattr__

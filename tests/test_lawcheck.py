@@ -1,11 +1,12 @@
 """The law suite engine: determinism, expectations, replayable failures."""
 
+import itertools
 import json
 
 import pytest
 
 import effectdiagrams as ed
-from effectdiagrams import gen
+from effectdiagrams import gen, lawcheck
 from effectdiagrams.lawcheck import ALL_LAWS, EXPECTED_FAIL
 
 
@@ -121,6 +122,15 @@ class TestCounterexamples:
         assert cells[("absorption", "state")] is True
         assert cells[("absorption", "exc")] is False
 
+    def test_replay_refuses_a_law_whose_witness_is_not_its_case(self):
+        with pytest.raises(ValueError,
+                           match="no replay support for law 'kleisli'"):
+            ed.replay("kleisli", ed.MAYBE, {})
+
+    def test_replay_of_a_case_that_holds_is_false(self):
+        effect = ed.trivial_effect(ed.DIST)
+        assert ed.replay("absorption", ed.DIST, {"effect": effect}) is False
+
 
 class TestLawCoverage:
     def test_every_law_runs_on_every_monad(self):
@@ -128,3 +138,48 @@ class TestLawCoverage:
         seen = {(r.law, r.monad.tag) for r in report.results}
         tags = [k.tag for k in ed.default_kinds()]
         assert seen == {(law, tag) for law in ALL_LAWS for tag in tags}
+
+
+SCOPE = ("a", "b")
+# the instances whose values enumerate, with their case counts: kleisli
+# (x, mu, f, g), binding (mu, f) and effects of arity at most 2
+SCOPE_KINDS = [(ed.MAYBE, 486, 27, 6),
+               (ed.exception_kind(("err",)), 2048, 64, 9),
+               (ed.POWERSET, 2048, 64, 7)]
+
+
+def violations(law, cases):
+    """The witnesses of the law's predicate over every case."""
+    violation = lawcheck._LAWS[law][0]
+    return [w for w in (violation(*case) for case in cases)
+            if w is not None]
+
+
+@pytest.mark.parametrize("kind, n_kleisli, n_binding, n_effects",
+                         SCOPE_KINDS, ids=[k.tag for k, *_ in SCOPE_KINDS])
+class TestSmallScope:
+    """Every law predicate on every case over a two-element carrier."""
+
+    def test_kleisli_and_binding_hold_on_every_case(
+            self, kind, n_kleisli, n_binding, n_effects):
+        values = gen.enumerate_values(kind, SCOPE)
+        tables = gen.enumerate_kleisli(kind, SCOPE, SCOPE)
+        kleisli = list(itertools.product(SCOPE, values, tables, tables))
+        binding = list(itertools.product(values, tables))
+        assert (len(kleisli), len(binding)) == (n_kleisli, n_binding)
+        assert violations("kleisli", kleisli) == []
+        assert violations("binding", binding) == []
+
+    def test_absorption_and_exchange_fail_exactly_where_expected(
+            self, kind, n_kleisli, n_binding, n_effects):
+        effects = [ed.GenericEffect(n, body) for n in range(3)
+                   for body in gen.enumerate_values(kind, range(1, n + 1))]
+        assert len(effects) == n_effects
+        pairs = [(kind, left, right,
+                  [[f"x{i}{j}" for j in range(1, right.arity + 1)]
+                   for i in range(1, left.arity + 1)])
+                 for left in effects for right in effects]
+        absorbs = not violations("absorption", [(kind, e) for e in effects])
+        commutes = not violations("commutativity", pairs)
+        assert absorbs == (kind.tag not in EXPECTED_FAIL["absorption"])
+        assert commutes == (kind.tag not in EXPECTED_FAIL["commutativity"])

@@ -297,11 +297,12 @@ class TestGenericEffectInvariants:
             ed.Presentation(ed.trivial_effect(ed.DIST), ("x", "y"))
 
     def test_support_check_matches_the_set_rule(self):
-        # the constructor walks the returned indices; the reference is the
-        # old rule, which sorted the support and compared sets, so values
-        # equal to an index (True, 1.0, Fraction(2)) count as that index
+        # the constructor walks the returned indices; the reference sorts
+        # the support and compares sets, counting only ints: values that
+        # merely equal an index (True, 1.0, Fraction(2)) are refused
         def reference_ok(n, body):
-            return set(ed.support(body)) <= set(range(1, n + 1))
+            return all(type(i) is int for i in ed.support(body)) and \
+                set(ed.support(body)) <= set(range(1, n + 1))
 
         rng = random.Random(14)
         verdicts = set()
@@ -321,6 +322,15 @@ class TestGenericEffectInvariants:
                                 f"1..{n}")):
                             ed.GenericEffect(n, body)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("index", [1.0, F(1), True],
+                             ids=["float", "Fraction", "bool"])
+    def test_index_that_only_equals_an_int_is_refused(self, index):
+        # interpret would index the row with it and raise TypeError
+        body = ed.MonadValue(ed.DIST, {index: F(1, 2)})
+        with pytest.raises(ValueError,
+                           match="effect body mentions indices outside 1..1"):
+            ed.GenericEffect(1, body)
 
 
 class TestImmutability:
