@@ -1,10 +1,13 @@
 """Seeded random generators and small exhaustive enumerators.
 
 Everything takes an explicit ``random.Random`` so callers control
-determinism.  Distribution weights are exact rationals with
-denominators of at most 16, printed prefixes have at most 3 characters,
-and state tables are total over all stores by construction.  Instances
-return canonical payloads, so the values are built without re-checking.
+determinism; the law suite passes a ``Draws``, which takes one
+``random()`` call per pick.  A Kleisli table draws each entry when it is
+first read, so a law pays only for the entries it reads.  Distribution
+weights are exact rationals with denominators of at most 16, printed
+prefixes have at most 3 characters, and state tables are total over all
+stores by construction.  Instances return canonical payloads, so the
+values are built without re-checking.
 """
 
 from __future__ import annotations
@@ -19,11 +22,65 @@ from .presentations import GenericEffect, Presentation
 LETTERS = ("a", "b", "c", "d", "e")
 
 
+class Draws(random.Random):
+    """A seeded generator whose picks each take one ``random()`` call.
+
+    It covers the value spaces of the ``random.Random`` methods it
+    overrides but not their streams; ``int(random() * n)`` is below
+    ``n`` for every ``n`` below 2**53.
+    """
+
+    def choice(self, seq):
+        return seq[int(self.random() * len(seq))]
+
+    def randint(self, a, b):
+        if b < a:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        return a + int(self.random() * (b - a + 1))
+
+    def sample(self, population, k):
+        """``k`` distinct elements by a partial Fisher-Yates shuffle."""
+        pool = list(population)
+        n = len(pool)
+        if not 0 <= k <= n:
+            raise ValueError("sample larger than population or is negative")
+        for i in range(k):
+            j = i + int(self.random() * (n - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+    def shuffle(self, x):
+        for i in range(len(x) - 1, 0, -1):
+            j = int(self.random() * (i + 1))
+            x[i], x[j] = x[j], x[i]
+
+
+class _KleisliTable(dict):
+    """A Kleisli table that draws each entry of its domain on first read.
+
+    Entries stay in domain order, so ``dict(table)`` is a plain table of
+    the entries read so far; a key outside the domain raises ``KeyError``.
+    """
+
+    __slots__ = ("kind", "rng", "domain", "codomain")
+
+    def __init__(self, kind, rng, domain, codomain):
+        self.kind, self.rng = kind, rng
+        self.domain, self.codomain = domain, codomain
+
+    def __missing__(self, x):
+        if x not in self.domain:
+            raise KeyError(x)
+        self[x] = random_value(self.kind, self.rng, self.codomain)
+        for y in [y for y in self.domain if y in self]:
+            self[y] = self.pop(y)
+        return self[x]
+
+
 def random_value(kind: MonadKind, rng: random.Random,
                  carrier: Sequence = LETTERS) -> MonadValue:
     """A random element of the instance over the given carrier."""
-    return _trusted(kind, INSTANCES[kind.tag].random(
-        kind, rng, list(carrier)))
+    return _trusted(kind, INSTANCES[kind.tag].random(kind, rng, carrier))
 
 
 def random_effect(kind: MonadKind, rng: random.Random,
@@ -39,16 +96,19 @@ def random_presentation(kind: MonadKind, rng: random.Random,
                         max_arity: int = 4) -> Presentation:
     """A random presentation; rows may repeat carrier elements."""
     eff = random_effect(kind, rng, max_arity=max_arity)
-    row = tuple([rng.choice(list(carrier)) for _ in range(eff.arity)])
-    return Presentation(eff, row)
+    return Presentation(eff, rng.choices(carrier, k=eff.arity))
 
 
 def random_kleisli(kind: MonadKind, rng: random.Random,
                    domain: Sequence,
                    codomain: Sequence = LETTERS) -> tuple[Callable, dict]:
-    """A random carrier-to-monadic-value map, returned with its table."""
-    table = {x: random_value(kind, rng, carrier=codomain) for x in domain}
-    return (lambda x: table[x]), table
+    """A random carrier-to-monadic-value map, returned with its table.
+
+    The table draws an entry when it is first read, from ``rng`` as it
+    stands then.
+    """
+    table = _KleisliTable(kind, rng, domain, codomain)
+    return table.__getitem__, table
 
 
 def weaken(nu: MonadValue, rng: random.Random) -> MonadValue:

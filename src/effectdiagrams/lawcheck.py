@@ -3,15 +3,17 @@
 Each law is one entry of ``_LAWS``: a predicate that returns a witness
 dict for a violating case or None, its deterministic first cases, an
 endless generator of seeded random cases, and a shrinker (algebraicity
-only).  Kleisli maps in a case are tables, so small scopes enumerate.
+only).  Kleisli maps in a case are tables, so small scopes enumerate;
+a drawn table draws each entry when it is first read, and a witness
+copies the entries that were read.
 ``_run`` feeds an entry to ``_search``, the one loop, which stops at the
 first violation and shrinks a drawn witness.  ``run_law_suite``,
 ``check_commutative``, ``check_algebraic`` (which adds an exhaustive
 flat prefix) and ``replay`` share the predicates, and every search
 yields a ``LawResult``, the one report type.
 
-Each (law, monad) cell draws its own generator from the suite seed, so
-reports are reproducible and independent of execution order.  Two laws
+Each (law, monad) cell seeds its own ``gen.Draws`` from the suite seed,
+so reports are reproducible and independent of execution order.  Two laws
 fail by design and ship in ``EXPECTED_FAIL``: a raise or a print
 survives a later divergence (absorption), and the order of two raises,
 prints or store updates is observable (commutativity).
@@ -32,8 +34,8 @@ from .algebra import (DerivedOperation, algebraic_violation, basic_effects,
 from .monads import (DIST, MAYBE, MonadKind, MonadValue, POWERSET, bind,
                      bottom, exception_kind, leq, map_carrier, output_kind,
                      signature, state_kind, support, unit)
-from .presentations import (GenericEffect, Presentation, decompose,
-                            diagram_eq, extend, interpret)
+from .presentations import (GenericEffect, MAX_ARITY, Presentation,
+                            decompose, diagram_eq, extend, interpret)
 
 ALL_LAWS = ("kleisli", "algebraicity", "unit", "associativity",
             "composition", "binding", "congruence", "monotonicity",
@@ -70,6 +72,10 @@ class LawSuiteConfig:
             raise ValueError("bounds must be >= 1")
         if self.carrier_size_max > len(gen.LETTERS):
             raise ValueError(f"carrier_size_max must be <= {len(gen.LETTERS)}")
+        # composition and bottom plug up to two slots into each of
+        # arity_max slots
+        if self.arity_max > MAX_ARITY // 2:
+            raise ValueError(f"arity_max must be <= {MAX_ARITY // 2}")
         unknown = set(self.laws) - set(ALL_LAWS)
         if unknown:
             raise ValueError(f"unknown law identifiers: {sorted(unknown)}")
@@ -204,14 +210,14 @@ def _kleisli_cases(kind, rng, cfg):
 
 def _kleisli_violation(x, mu, f, g):
     if bind(unit(mu.kind, x), f.__getitem__) != f[x]:
-        return {"side": "left-unit", "x": x, "kleisli": f}
+        return {"side": "left-unit", "x": x, "kleisli": dict(f)}
     if bind(mu, lambda y: unit(mu.kind, y)) != mu:
         return {"side": "right-unit", "mu": mu}
     lhs = bind(bind(mu, f.__getitem__), g.__getitem__)
     rhs = bind(mu, lambda y: bind(f[y], g.__getitem__))
     if lhs != rhs:
-        return {"side": "associativity", "mu": mu, "f": f, "g": g,
-                "lhs": lhs, "rhs": rhs}
+        return {"side": "associativity", "mu": mu, "f": dict(f),
+                "g": dict(g), "lhs": lhs, "rhs": rhs}
     return None
 
 
@@ -293,7 +299,7 @@ def _binding_violation(mu, f):
     xi = decompose(mu)
     rhs = seq_compose(xi, [decompose(f[x]) for x in xi.row])
     if not diagram_eq(lhs, rhs):
-        return {"mu": mu, "kleisli": f, "lhs": interpret(lhs),
+        return {"mu": mu, "kleisli": dict(f), "lhs": interpret(lhs),
                 "rhs": interpret(rhs)}
     return None
 
@@ -304,14 +310,13 @@ def _congruence_cases(kind, rng, cfg):
     while True:
         base = decompose(gen.random_value(kind, rng, carrier))
         n = base.effect.arity
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        permuted = extend(base, perm, n, ())
         m = n + rng.randint(0, 2)
-        iota = sorted(rng.sample(range(1, m + 1), n))
-        fill = [rng.choice(carrier) for _ in range(m - n)]
+        # a uniform injection, as a uniform permutation followed by a
+        # uniform increasing embedding would give
+        iota = rng.sample(range(1, m + 1), n)
+        fill = rng.choices(carrier, k=m - n)
         _, f = gen.random_kleisli(kind, rng, carrier, carrier)
-        yield base, extend(permuted, iota, m, fill), f
+        yield base, extend(base, iota, m, fill), f
 
 
 def _congruence_violation(xi, rho, f):
@@ -321,7 +326,7 @@ def _congruence_violation(xi, rho, f):
     lhs = bind(xi.effect.body, lambda i: f[xi.row[i - 1]])
     rhs = bind(rho.effect.body, lambda i: f[rho.row[i - 1]])
     if lhs != rhs:
-        return {"xi": interpret(xi), "kleisli": f, "lhs": lhs,
+        return {"xi": interpret(xi), "kleisli": dict(f), "lhs": lhs,
                 "rhs": rhs}
     return None
 
@@ -333,7 +338,7 @@ def _monotonicity_cases(kind, rng, cfg):
         mu = gen.weaken(nu, rng)
         _, f = gen.random_kleisli(kind, rng, carrier, carrier)
         _, g = gen.random_kleisli(kind, rng, carrier, carrier)
-        weak = {x: gen.weaken(g[x], rng) for x in carrier}
+        weak = {x: gen.weaken(g[x], rng) for x in support(nu)}
         eff = gen.random_effect(kind, rng, max_arity=3)
         high = [gen.random_value(kind, rng, carrier)
                 for _ in range(eff.arity)]
@@ -344,10 +349,10 @@ def _monotonicity_cases(kind, rng, cfg):
 def _monotonicity_violation(mu, nu, f, g, weak, eff, low, high):
     # mu <= nu entails (mu >>= f) <= (nu >>= f)
     if not leq(bind(mu, f.__getitem__), bind(nu, f.__getitem__)):
-        return {"rule": "left", "mu": mu, "nu": nu, "kleisli": f}
+        return {"rule": "left", "mu": mu, "nu": nu, "kleisli": dict(f)}
     # f <= g pointwise entails (mu >>= f) <= (mu >>= g)
     if not leq(bind(nu, weak.__getitem__), bind(nu, g.__getitem__)):
-        return {"rule": "right", "nu": nu, "g": g}
+        return {"rule": "right", "nu": nu, "g": dict(g)}
     # slotwise: every family member below its mate
     if not leq(bind(eff.body, lambda i: low[i - 1]),
                bind(eff.body, lambda i: high[i - 1])):
@@ -360,7 +365,7 @@ def _bottom_cases(kind, rng, cfg):
     while True:
         mu = gen.random_value(kind, rng, carrier)
         n = rng.randint(0, cfg.arity_max)
-        row = tuple([rng.choice(carrier) for _ in range(n)])
+        row = tuple(rng.choices(carrier, k=n))
         yield mu, row, [gen.random_presentation(kind, rng, carrier,
                                                 max_arity=2)
                         for _ in range(n)]
@@ -406,7 +411,7 @@ def _exchange_cases(kind, rng, cfg):
         left = gen.random_effect(kind, rng, max_arity=3)
         right = gen.random_effect(kind, rng, max_arity=3)
         yield kind, left, right, [
-            [rng.choice(gen.LETTERS[:3]) for _ in range(right.arity)]
+            rng.choices(gen.LETTERS[:3], k=right.arity)
             for _ in range(left.arity)]
 
 
@@ -446,7 +451,7 @@ def _run(law: str, kind: MonadKind, rng: random.Random,
 def run_law_suite(cfg: LawSuiteConfig) -> SuiteReport:
     """Run every configured law against every configured instance."""
     return SuiteReport(cfg.seed, [
-        _run(law, kind, random.Random(f"{cfg.seed}:{law}:{kind.tag}"), cfg)
+        _run(law, kind, gen.Draws(f"{cfg.seed}:{law}:{kind.tag}"), cfg)
         for law in cfg.laws for kind in cfg.monads])
 
 
@@ -456,7 +461,8 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
 
     Flat instances are checked exhaustively over small carriers; the
     rest get seeded random trials.  A failure report carries the
-    arguments, the function table and both sides.
+    arguments, the entries of the function table that the check read,
+    and both sides.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -469,7 +475,7 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
         fixed = ((op, args, table)
                  for args in itertools.product(values, repeat=op.arity)
                  for table in tables)
-    randoms = _algebraic_cases([op], random.Random(seed), domain, codomain)
+    randoms = _algebraic_cases([op], gen.Draws(seed), domain, codomain)
     passed, ran, witness = _search(algebraic_violation, fixed,
                                    itertools.islice(randoms, trials),
                                    _algebraic_shrinks)
@@ -486,7 +492,7 @@ def check_commutative(kind: MonadKind, trials: int = 50,
     deterministic pairs (two signature effects, or one against bottom),
     so a witness is always one of them and is reported unshrunk.
     """
-    return _run("commutativity", kind, random.Random(seed),
+    return _run("commutativity", kind, gen.Draws(seed),
                 LawSuiteConfig(seed, trials))
 
 

@@ -263,6 +263,19 @@ class TestLaws:
                            "set", "--trials", "1", "--carrier-max", "9")
         assert code == 1 and "carrier_size_max must be <= 5" in err
 
+    def test_arity_above_half_the_cap_errors(self, capsys):
+        # composition and bottom plug up to 2 * arity_max slots
+        code, out, err = run(capsys, "laws", "--laws", "composition,bottom",
+                             "--monads", "set", "--arity-max", "33")
+        assert code == 1 and out == ""
+        assert err == "error: arity_max must be <= 32"
+
+    def test_arity_at_half_the_cap_runs(self, capsys):
+        code, out, err = run(capsys, "laws", "--laws", "composition,bottom",
+                             "--monads", "set", "--arity-max", "32",
+                             "--trials", "200")
+        assert code == 0 and err == "" and "expectations met" in out
+
 
 KIND_TEXTS = {"--exceptions", "--locations", "--alphabet"}
 PROGRAM_OPTIONS = {"-m", "--monad", *KIND_TEXTS, "-f", "--fuel", "--format",

@@ -2,11 +2,12 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 import effectdiagrams as ed
-from effectdiagrams import gen, lawcheck
+from effectdiagrams import gen, lawcheck, monads
 from effectdiagrams.lawcheck import ALL_LAWS, EXPECTED_FAIL
 
 
@@ -29,6 +30,11 @@ class TestConfig:
         small_config(carrier_size_max=len(gen.LETTERS))
         with pytest.raises(ValueError):
             small_config(carrier_size_max=len(gen.LETTERS) + 1)
+
+    def test_arity_bounded_by_half_the_cap(self):
+        small_config(arity_max=ed.MAX_ARITY // 2)
+        with pytest.raises(ValueError, match="arity_max must be <= 32"):
+            small_config(arity_max=ed.MAX_ARITY // 2 + 1)
 
     def test_empty_law_set_gives_empty_report(self):
         report = ed.run_law_suite(small_config(laws=()))
@@ -183,3 +189,156 @@ class TestSmallScope:
         commutes = not violations("commutativity", pairs)
         assert absorbs == (kind.tag not in EXPECTED_FAIL["absorption"])
         assert commutes == (kind.tag not in EXPECTED_FAIL["commutativity"])
+
+
+def _dist_join_drops_last_branch(self, payload, outs):
+    return _DIST_JOIN(self, dict(list(payload.items())[:-1]), outs)
+
+
+def _state_join_reads_the_old_store(self, payload, outs):
+    results, following, table = {}, iter(outs).__next__, {}
+    for s, c in payload.items():
+        if isinstance(c, monads.Present):
+            x = c.value[0]
+            if x not in results:
+                results[x] = following()
+            table[s] = results[x][s]
+        else:
+            table[s] = monads.DIVERGE
+    return table
+
+
+def _powerset_join_keeps_one_branch(self, payload, outs):
+    return frozenset().union(*outs[:1])
+
+
+def _output_join_drops_the_printed_prefix(self, payload, outs):
+    return (payload[0], outs[0][1]) if outs else payload
+
+
+def _dist_map_keeps_the_last_preimage(self, payload, g):
+    acc = {}
+    for x, p in payload.items():
+        acc[g(x)] = p
+    return acc
+
+
+_DIST_JOIN = monads.Dist.join
+PLANTED = [
+    (monads.Dist, "join", _dist_join_drops_last_branch, ed.DIST),
+    (monads.State, "join", _state_join_reads_the_old_store,
+     ed.state_kind(("l0", "l1"))),
+    (monads.Powerset, "join", _powerset_join_keeps_one_branch, ed.POWERSET),
+    (monads.Output, "join", _output_join_drops_the_printed_prefix,
+     ed.output_kind(("a", "b"))),
+    (monads.Dist, "map", _dist_map_keeps_the_last_preimage, ed.DIST),
+]
+
+
+@pytest.mark.parametrize("cls, name, bug, kind", PLANTED,
+                         ids=[bug.__name__.lstrip("_")
+                              for _, _, bug, _ in PLANTED])
+class TestPlantedBugs:
+    """The suite at its default trials catches each bug at every seed."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_suite_fails(self, monkeypatch, cls, name, bug, kind, seed):
+        monkeypatch.setattr(cls, name, bug)
+        report = ed.run_law_suite(ed.LawSuiteConfig(seed=seed,
+                                                    monads=(kind,)))
+        assert not report.ok
+
+
+class TestDraws:
+    """``gen.Draws`` picks in range, reaches every outcome, repeats."""
+
+    def test_choice_and_randint_reach_every_outcome(self):
+        rng = gen.Draws(1)
+        for n in range(1, 6):
+            assert {rng.choice("abcde"[:n]) for _ in range(500)} == \
+                set("abcde"[:n])
+        for a, b in [(0, 0), (0, 3), (1, 16), (-2, 2)]:
+            assert {rng.randint(a, b) for _ in range(1000)} == \
+                set(range(a, b + 1))
+
+    def test_sample_gives_distinct_elements_in_every_order(self):
+        rng = gen.Draws(2)
+        for n in range(5):
+            for k in range(n + 1):
+                seen = {tuple(rng.sample(range(n), k)) for _ in range(600)}
+                assert all(len(set(s)) == k for s in seen)
+                assert seen == set(itertools.permutations(range(n), k))
+
+    def test_shuffle_reaches_every_permutation(self):
+        rng = gen.Draws(3)
+        seen = set()
+        for _ in range(1000):
+            x = list("abcd")
+            rng.shuffle(x)
+            seen.add(tuple(x))
+        assert seen == set(itertools.permutations("abcd"))
+
+    def test_empty_ranges_are_refused(self):
+        rng = gen.Draws(4)
+        with pytest.raises(ValueError):
+            rng.randint(3, 2)
+        with pytest.raises(ValueError):
+            rng.sample("ab", 3)
+        with pytest.raises(ValueError):
+            rng.sample("ab", -1)
+        with pytest.raises(IndexError):
+            rng.choice("")
+
+    def test_one_seed_gives_one_stream(self):
+        def stream(seed):
+            rng = gen.Draws(seed)
+            return [(rng.choice("abc"), rng.randint(0, 9),
+                     rng.sample(range(6), 3), rng.random())
+                    for _ in range(20)]
+        assert stream(5) == stream(5)
+        assert stream(5) != stream(6)
+
+
+class TestLazyTables:
+    """A Kleisli table draws only the entries a law reads."""
+
+    def table(self, kind=ed.DIST, seed=1):
+        return gen.random_kleisli(kind, gen.Draws(seed), gen.LETTERS[:4],
+                                  gen.LETTERS[:4])[1]
+
+    def test_a_predicate_leaves_only_the_keys_it_read(self):
+        mu = ed.MonadValue(ed.DIST, {"c": Fraction(1, 2),
+                                     "a": Fraction(1, 4)})
+        f = self.table()
+        assert len(f) == 0
+        assert lawcheck._LAWS["binding"][0](mu, f) is None
+        assert list(f) == ["a", "c"]
+
+    def test_entries_stay_in_domain_order(self):
+        f = self.table()
+        for x in "dbca":
+            f[x]
+        assert list(f) == list("abcd")
+        assert f["b"] is f["b"]
+
+    def test_a_key_outside_the_domain_raises(self):
+        f = self.table()
+        f["a"]
+        with pytest.raises(KeyError):
+            f["e"]
+        assert list(f) == ["a"]
+
+    def test_witness_tables_are_plain_and_do_not_grow(self, monkeypatch):
+        monkeypatch.setattr(monads.Output, "join",
+                            _output_join_drops_the_printed_prefix)
+        kind = ed.output_kind(("a", "b"))
+        report = ed.run_law_suite(small_config(laws=("kleisli",),
+                                               monads=(kind,)))
+        (res,) = report.results
+        assert not res.passed
+        table = res.counterexample["kleisli"]
+        assert type(table) is dict and list(table) == [res.counterexample["x"]]
+        missing = next(x for x in gen.LETTERS if x not in table)
+        with pytest.raises(KeyError):
+            table[missing]
+        assert len(table) == 1
