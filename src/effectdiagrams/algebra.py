@@ -6,17 +6,16 @@ every algebraic operation induces a generic effect (apply it to the unit
 row).  Sequential composition of presentations is implemented directly
 on monadic bodies by index re-blocking: block ``i`` of the composite
 occupies positions ``sum(m_1..m_{i-1})+1 .. sum(m_1..m_i)``.
-
-``algebraic_violation`` and ``exchange_violation`` check one instance of
-the bind-distribution law and of the exchange law.  Searching for
-violations, shrinking them and reporting them is ``lawcheck``'s job.
+``basic_effects`` lists the signature-derived, trivial and bottom
+effects of an instance.  The laws of this calculus, and the search for
+their violations, are ``lawcheck``'s.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .monads import (ArityError, KindError, MonadKind, MonadValue, bind,
                      bottom, map_carrier, op_apply, op_effect, signature,
@@ -103,37 +102,6 @@ def seq_compose(xi: Presentation,
     body = bind(xi.effect.body, block)
     row = tuple([x for member in family for x in member.row])
     return Presentation(GenericEffect(total, body), row)
-
-
-def algebraic_violation(op: DerivedOperation, args: Sequence[MonadValue],
-                        table: dict) -> Optional[dict]:
-    """Check one instance of the bind-distribution law; None means it holds."""
-    f = lambda x: table[x]
-    lhs = bind(op.apply(*args), f)
-    rhs = op.apply(*[bind(a, f) for a in args])
-    if lhs == rhs:
-        return None
-    return {"args": list(args), "kleisli": dict(table),
-            "lhs": lhs, "rhs": rhs}
-
-
-def exchange_violation(kind: MonadKind, left: GenericEffect,
-                       right: GenericEffect, grid: Sequence[Sequence]) \
-        -> Optional[dict]:
-    """Check one instance of the exchange law; None means it holds.
-
-    ``grid[i-1][j-1]`` is the carrier element for outer index ``i`` and
-    inner index ``j``.
-    """
-    def cell(i, j):
-        return unit(kind, grid[i - 1][j - 1])
-
-    lhs = bind(left.body, lambda i: bind(right.body, lambda j: cell(i, j)))
-    rhs = bind(right.body, lambda j: bind(left.body, lambda i: cell(i, j)))
-    if lhs == rhs:
-        return None
-    return {"left_effect": left, "right_effect": right,
-            "grid": [list(r) for r in grid], "lhs": lhs, "rhs": rhs}
 
 
 def basic_effects(kind: MonadKind) -> list[GenericEffect]:

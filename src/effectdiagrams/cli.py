@@ -28,7 +28,7 @@ from .lang import (DEFAULT_PRELUDE, EvalError, ParseError, default_defs,
                    eval_diagram, evaluate, parse, parse_defs)
 from .lawcheck import ALL_LAWS, LawSuiteConfig, run_law_suite
 from .algebra import seq_compose
-from .monads import (ArityError, KNOWN_TAGS, KindError, SignatureError,
+from .monads import (ArityError, INSTANCES, KindError, SignatureError,
                      instance)
 from .presentations import ArityCapError, render
 
@@ -85,7 +85,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    tags = args.monads.split(",") if args.monads else KNOWN_TAGS
+    tags = args.monads.split(",") if args.monads else INSTANCES
     kinds = tuple(instance(tag.strip()).kind_from_text(vars(args))
                   for tag in tags if tag.strip())
     if args.laws is None:
@@ -124,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "machine"), default="text")
     texts = argparse.ArgumentParser(add_help=False)
-    texts.add_argument("--exceptions", default="err",
-                       help="comma-separated labels for the exc monad")
-    texts.add_argument("--locations", default="l0,l1",
-                       help="comma-separated locations for the state monad")
-    texts.add_argument("--alphabet", default="ab",
-                       help="characters for the output monad")
+    for inst in INSTANCES.values():
+        if inst.param is not None:
+            texts.add_argument(f"--{inst.param}", default=inst.default,
+                               help=inst.help)
 
     parser = argparse.ArgumentParser(
         prog="effdiag",
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("eval", _cmd_eval, "evaluate a program"),
             ("diagram", _cmd_diagram, "evaluate and print the presentation")):
         p_prog = subs.add_parser(name, help=text, parents=[texts, fmt])
-        p_prog.add_argument("-m", "--monad", choices=KNOWN_TAGS,
+        p_prog.add_argument("-m", "--monad", choices=tuple(INSTANCES),
                             default="maybe")
         p_prog.add_argument("-f", "--fuel", type=int, default=32)
         p_prog.add_argument("--prelude", help="extra definitions file "

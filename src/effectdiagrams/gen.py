@@ -49,11 +49,6 @@ class Draws(random.Random):
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
-    def shuffle(self, x):
-        for i in range(len(x) - 1, 0, -1):
-            j = int(self.random() * (i + 1))
-            x[i], x[j] = x[j], x[i]
-
 
 class _KleisliTable(dict):
     """A Kleisli table that draws each entry of its domain on first read.

@@ -1,22 +1,25 @@
 """The law engine: a seeded search for violations of every calculus law.
 
-Each law is one entry of ``_LAWS``: a predicate that returns a witness
-dict for a violating case or None, its deterministic first cases, an
-endless generator of seeded random cases, and a shrinker (algebraicity
-only).  Kleisli maps in a case are tables, so small scopes enumerate;
-a drawn table draws each entry when it is first read, and a witness
-copies the entries that were read.
-``_run`` feeds an entry to ``_search``, the one loop, which stops at the
-first violation and shrinks a drawn witness.  ``run_law_suite``,
+Each law is one entry of ``_LAWS``, the only list of laws (``ALL_LAWS``
+is its keys): a predicate that returns a witness dict for a violating
+case or None, its deterministic first cases, an endless generator of
+seeded random cases over a carrier and an arity bound, and a shrinker
+(algebraicity only).  Every predicate lives here.  Kleisli maps in a
+case are tables, so small scopes enumerate; a drawn table draws each
+entry when it is first read, and a witness copies the entries that were
+read.  ``_run`` feeds an entry to ``_search``, the one loop, which stops
+at the first violation and shrinks a drawn witness.  ``run_law_suite``,
 ``check_commutative``, ``check_algebraic`` (which adds an exhaustive
 flat prefix) and ``replay`` share the predicates, and every search
 yields a ``LawResult``, the one report type.
 
-Each (law, monad) cell seeds its own ``gen.Draws`` from the suite seed,
-so reports are reproducible and independent of execution order.  Two laws
-fail by design and ship in ``EXPECTED_FAIL``: a raise or a print
-survives a later divergence (absorption), and the order of two raises,
-prints or store updates is observable (commutativity).
+The default instances are every entry of ``monads.INSTANCES`` at its
+command-line default.  Each (law, monad) cell seeds its own
+``gen.Draws`` from the suite seed, so reports are reproducible and
+independent of execution order.  Two laws fail by design and ship in
+``EXPECTED_FAIL``: a raise or a print survives a later divergence
+(absorption), and the order of two raises, prints or store updates is
+observable (commutativity).
 """
 
 from __future__ import annotations
@@ -25,21 +28,16 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from . import gen, serialize
-from .algebra import (DerivedOperation, algebraic_violation, basic_effects,
-                      bottom_effect, descriptor_op, effect_to_op,
-                      exchange_violation, seq_compose, trivial_effect)
-from .monads import (DIST, MAYBE, MonadKind, MonadValue, POWERSET, bind,
-                     bottom, exception_kind, leq, map_carrier, output_kind,
-                     signature, state_kind, support, unit)
+from .algebra import (DerivedOperation, basic_effects, bottom_effect,
+                      descriptor_op, effect_to_op, seq_compose,
+                      trivial_effect)
+from .monads import (INSTANCES, MonadKind, MonadValue, bind, bottom, leq,
+                     map_carrier, signature, support, unit)
 from .presentations import (GenericEffect, MAX_ARITY, Presentation,
                             decompose, diagram_eq, extend, interpret)
-
-ALL_LAWS = ("kleisli", "algebraicity", "unit", "associativity",
-            "composition", "binding", "congruence", "monotonicity",
-            "bottom", "absorption", "commutativity")
 
 EXPECTED_FAIL = {
     "commutativity": frozenset({"exc", "state", "output"}),
@@ -48,37 +46,13 @@ EXPECTED_FAIL = {
 
 
 def default_kinds() -> tuple[MonadKind, ...]:
-    return (MAYBE, exception_kind(("err",)), POWERSET, DIST,
-            state_kind(("l0", "l1")), output_kind(("a", "b")))
+    """Every registered instance, at its command-line default."""
+    return tuple(inst.kind_from_text({inst.param: inst.default})
+                 for inst in INSTANCES.values())
 
 
 def expected_pass(law: str, kind: MonadKind) -> bool:
     return kind.tag not in EXPECTED_FAIL.get(law, frozenset())
-
-
-@dataclass(frozen=True)
-class LawSuiteConfig:
-    seed: int = 1
-    trials: int = 50
-    carrier_size_max: int = 4
-    arity_max: int = 4
-    monads: tuple = field(default_factory=default_kinds)
-    laws: tuple = ALL_LAWS
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.carrier_size_max < 1 or self.arity_max < 1:
-            raise ValueError("bounds must be >= 1")
-        if self.carrier_size_max > len(gen.LETTERS):
-            raise ValueError(f"carrier_size_max must be <= {len(gen.LETTERS)}")
-        # composition and bottom plug up to two slots into each of
-        # arity_max slots
-        if self.arity_max > MAX_ARITY // 2:
-            raise ValueError(f"arity_max must be <= {MAX_ARITY // 2}")
-        unknown = set(self.laws) - set(ALL_LAWS)
-        if unknown:
-            raise ValueError(f"unknown law identifiers: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +150,18 @@ def _search(violation: Callable[..., Optional[dict]], fixed: Iterable,
     return True, trials, None
 
 
+def algebraic_violation(op: DerivedOperation, args: Sequence[MonadValue],
+                        table: dict) -> Optional[dict]:
+    """Check one instance of the bind-distribution law; None means it holds."""
+    f = lambda x: table[x]
+    lhs = bind(op.apply(*args), f)
+    rhs = op.apply(*[bind(a, f) for a in args])
+    if lhs == rhs:
+        return None
+    return {"args": list(args), "kleisli": dict(table),
+            "lhs": lhs, "rhs": rhs}
+
+
 def _algebraic_shrinks(op: DerivedOperation, args, table: dict):
     """The case with one argument replaced by bottom or a unit of it."""
     for i, arg in enumerate(args):
@@ -194,12 +180,7 @@ def _algebraic_cases(ops: list, rng: random.Random, domain, codomain):
         yield op, args, table
 
 
-def _carrier(cfg: LawSuiteConfig):
-    return gen.LETTERS[:cfg.carrier_size_max]
-
-
-def _kleisli_cases(kind, rng, cfg):
-    carrier = _carrier(cfg)
+def _kleisli_cases(kind, rng, carrier, arity_max):
     while True:
         x = rng.choice(carrier)
         mu = gen.random_value(kind, rng, carrier)
@@ -221,17 +202,17 @@ def _kleisli_violation(x, mu, f, g):
     return None
 
 
-def _algebraicity_cases(kind, rng, cfg):
+def _algebraicity_cases(kind, rng, carrier, arity_max):
     ops = [descriptor_op(d) for d in signature(kind)]
     ops += [effect_to_op(gen.random_effect(kind, rng, max_arity=3))
             for _ in range(3)]
-    return _algebraic_cases(ops, rng, _carrier(cfg), _carrier(cfg))
+    return _algebraic_cases(ops, rng, carrier, carrier)
 
 
-def _unit_cases(kind, rng, cfg):
+def _unit_cases(kind, rng, carrier, arity_max):
     while True:
-        yield (gen.random_presentation(kind, rng, _carrier(cfg),
-                                       max_arity=cfg.arity_max),)
+        yield (gen.random_presentation(kind, rng, carrier,
+                                       max_arity=arity_max),)
 
 
 def _unit_violation(xi):
@@ -245,8 +226,7 @@ def _unit_violation(xi):
     return None
 
 
-def _associativity_cases(kind, rng, cfg):
-    carrier = _carrier(cfg)
+def _associativity_cases(kind, rng, carrier, arity_max):
     while True:
         xi = gen.random_presentation(kind, rng, carrier, max_arity=3)
         family = [gen.random_presentation(kind, rng, carrier, max_arity=2)
@@ -267,11 +247,10 @@ def _associativity_violation(xi, family, subfamilies):
     return None
 
 
-def _composition_cases(kind, rng, cfg):
-    carrier = _carrier(cfg)
+def _composition_cases(kind, rng, carrier, arity_max):
     while True:
         xi = gen.random_presentation(kind, rng, carrier,
-                                     max_arity=cfg.arity_max)
+                                     max_arity=arity_max)
         yield xi, [gen.random_presentation(kind, rng, carrier, max_arity=2)
                    for _ in range(xi.effect.arity)]
 
@@ -287,8 +266,7 @@ def _composition_violation(xi, family):
     return None
 
 
-def _binding_cases(kind, rng, cfg):
-    carrier = _carrier(cfg)
+def _binding_cases(kind, rng, carrier, arity_max):
     while True:
         mu = gen.random_value(kind, rng, carrier)
         yield mu, gen.random_kleisli(kind, rng, carrier, carrier)[1]
@@ -304,9 +282,8 @@ def _binding_violation(mu, f):
     return None
 
 
-def _congruence_cases(kind, rng, cfg):
+def _congruence_cases(kind, rng, carrier, arity_max):
     """A random presentation, a differently-shaped equal one, a table."""
-    carrier = _carrier(cfg)
     while True:
         base = decompose(gen.random_value(kind, rng, carrier))
         n = base.effect.arity
@@ -331,8 +308,7 @@ def _congruence_violation(xi, rho, f):
     return None
 
 
-def _monotonicity_cases(kind, rng, cfg):
-    carrier = _carrier(cfg)
+def _monotonicity_cases(kind, rng, carrier, arity_max):
     while True:
         nu = gen.random_value(kind, rng, carrier)
         mu = gen.weaken(nu, rng)
@@ -340,9 +316,9 @@ def _monotonicity_cases(kind, rng, cfg):
         _, g = gen.random_kleisli(kind, rng, carrier, carrier)
         weak = {x: gen.weaken(g[x], rng) for x in support(nu)}
         eff = gen.random_effect(kind, rng, max_arity=3)
-        high = [gen.random_value(kind, rng, carrier)
-                for _ in range(eff.arity)]
-        low = [gen.weaken(h, rng) for h in high]
+        _, high = gen.random_kleisli(kind, rng, range(1, eff.arity + 1),
+                                     carrier)
+        low = {i: gen.weaken(high[i], rng) for i in support(eff.body)}
         yield mu, nu, f, g, weak, eff, low, high
 
 
@@ -354,17 +330,17 @@ def _monotonicity_violation(mu, nu, f, g, weak, eff, low, high):
     if not leq(bind(nu, weak.__getitem__), bind(nu, g.__getitem__)):
         return {"rule": "right", "nu": nu, "g": dict(g)}
     # slotwise: every family member below its mate
-    if not leq(bind(eff.body, lambda i: low[i - 1]),
-               bind(eff.body, lambda i: high[i - 1])):
-        return {"rule": "slotwise", "effect": eff, "low": low, "high": high}
+    if not leq(bind(eff.body, low.__getitem__),
+               bind(eff.body, high.__getitem__)):
+        return {"rule": "slotwise", "effect": eff, "low": low,
+                "high": dict(high)}
     return None
 
 
-def _bottom_cases(kind, rng, cfg):
-    carrier = _carrier(cfg)
+def _bottom_cases(kind, rng, carrier, arity_max):
     while True:
         mu = gen.random_value(kind, rng, carrier)
-        n = rng.randint(0, cfg.arity_max)
+        n = rng.randint(0, arity_max)
         row = tuple(rng.choices(carrier, k=n))
         yield mu, row, [gen.random_presentation(kind, rng, carrier,
                                                 max_arity=2)
@@ -385,9 +361,9 @@ def _bottom_violation(mu, row, family):
     return None
 
 
-def _absorption_cases(kind, rng, cfg):
+def _absorption_cases(kind, rng, carrier, arity_max):
     while True:
-        yield kind, gen.random_effect(kind, rng, max_arity=cfg.arity_max)
+        yield kind, gen.random_effect(kind, rng, max_arity=arity_max)
 
 
 def _absorption_violation(kind: MonadKind, eff: GenericEffect):
@@ -395,6 +371,25 @@ def _absorption_violation(kind: MonadKind, eff: GenericEffect):
     bot = bottom(kind)
     got = bind(eff.body, lambda i: bot)
     return None if got == bot else {"effect": eff, "got": got}
+
+
+def exchange_violation(kind: MonadKind, left: GenericEffect,
+                       right: GenericEffect, grid: Sequence[Sequence]) \
+        -> Optional[dict]:
+    """Check one instance of the exchange law; None means it holds.
+
+    ``grid[i-1][j-1]`` is the carrier element for outer index ``i`` and
+    inner index ``j``.
+    """
+    def cell(i, j):
+        return unit(kind, grid[i - 1][j - 1])
+
+    lhs = bind(left.body, lambda i: bind(right.body, lambda j: cell(i, j)))
+    rhs = bind(right.body, lambda j: bind(left.body, lambda i: cell(i, j)))
+    if lhs == rhs:
+        return None
+    return {"left_effect": left, "right_effect": right,
+            "grid": [list(r) for r in grid], "lhs": lhs, "rhs": rhs}
 
 
 def _exchange_fixed(kind):
@@ -406,7 +401,7 @@ def _exchange_fixed(kind):
             for left in basics for right in basics)
 
 
-def _exchange_cases(kind, rng, cfg):
+def _exchange_cases(kind, rng, carrier, arity_max):
     while True:
         left = gen.random_effect(kind, rng, max_arity=3)
         right = gen.random_effect(kind, rng, max_arity=3)
@@ -416,7 +411,8 @@ def _exchange_cases(kind, rng, cfg):
 
 
 # law -> (violation, fixed, cases, shrink); ``fixed(kind)`` gives the
-# deterministic first cases, and only algebraicity has a shrinker
+# deterministic first cases, ``cases(kind, rng, carrier, arity_max)``
+# draws the rest, and only algebraicity has a shrinker
 _LAWS: dict[str, tuple] = {
     "kleisli": (_kleisli_violation, None, _kleisli_cases, None),
     "algebraicity": (algebraic_violation, None, _algebraicity_cases,
@@ -438,13 +434,43 @@ _LAWS: dict[str, tuple] = {
 }
 
 
+ALL_LAWS = tuple(_LAWS)
+
+
+@dataclass(frozen=True)
+class LawSuiteConfig:
+    seed: int = 1
+    trials: int = 50
+    carrier_size_max: int = 4
+    arity_max: int = 4
+    monads: tuple = field(default_factory=default_kinds)
+    laws: tuple = ALL_LAWS
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.carrier_size_max < 1 or self.arity_max < 1:
+            raise ValueError("bounds must be >= 1")
+        if self.carrier_size_max > len(gen.LETTERS):
+            raise ValueError(f"carrier_size_max must be <= {len(gen.LETTERS)}")
+        # composition and bottom plug up to two slots into each of
+        # arity_max slots
+        if self.arity_max > MAX_ARITY // 2:
+            raise ValueError(f"arity_max must be <= {MAX_ARITY // 2}")
+        unknown = set(self.laws) - set(_LAWS)
+        if unknown:
+            raise ValueError(f"unknown law identifiers: {sorted(unknown)}")
+
+
 def _run(law: str, kind: MonadKind, rng: random.Random,
          cfg: LawSuiteConfig) -> LawResult:
     """Search one law on one instance: fixed cases, then drawn ones."""
     violation, fixed, cases, shrink = _LAWS[law]
+    drawn = cases(kind, rng, gen.LETTERS[:cfg.carrier_size_max],
+                  cfg.arity_max)
     passed, trials, witness = _search(
         violation, fixed(kind) if fixed else (),
-        itertools.islice(cases(kind, rng, cfg), cfg.trials), shrink)
+        itertools.islice(drawn, cfg.trials), shrink)
     return LawResult(law, kind, passed, trials, cfg.seed, witness)
 
 

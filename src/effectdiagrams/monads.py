@@ -224,8 +224,11 @@ class Instance:
     """
 
     tag = ""
-    # the JSON key and CLI option naming MonadKind.params, if it has any
+    # the JSON key and CLI option naming MonadKind.params, if it has any,
+    # with the option's default text and help
     param: Optional[str] = None
+    default: Optional[str] = None
+    help: Optional[str] = None
     # operation name -> (arity, number of bracket indices in the syntax)
     ops: dict = {}
 
@@ -356,6 +359,8 @@ _CELL = Maybe()
 class Exc(Maybe):
     tag = "exc"
     param = "exceptions"
+    default = "err"
+    help = "comma-separated labels for the exc monad"
     ops = {"raise": (0, 1)}
     cells = (Present, Raised, Diverge)
 
@@ -597,6 +602,8 @@ def _store_from_str(text: str, width: int):
 class State(Instance):
     tag = "state"
     param = "locations"
+    default = "l0,l1"
+    help = "comma-separated locations for the state monad"
     ops = {"read": (2, 1), "write": (1, 2)}
 
     def check_kind(self, kind):
@@ -740,6 +747,8 @@ class State(Instance):
 class Output(Instance):
     tag = "output"
     param = "alphabet"
+    default = "ab"
+    help = "characters for the output monad"
     ops = {"print": (1, 1)}
 
     def check_kind(self, kind):

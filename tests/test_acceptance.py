@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import effectdiagrams as ed
 from effectdiagrams import gen
-from effectdiagrams.algebra import algebraic_violation, exchange_violation
+from effectdiagrams.lawcheck import algebraic_violation, exchange_violation
 from effectdiagrams.lawcheck import EXPECTED_FAIL
 
 CARRIER5 = ("a", "b", "c", "d", "e")

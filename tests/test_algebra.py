@@ -7,7 +7,7 @@ import pytest
 
 import effectdiagrams as ed
 from effectdiagrams import gen
-from effectdiagrams.algebra import exchange_violation
+from effectdiagrams.lawcheck import exchange_violation
 
 from strategies import ALL_KINDS, CARRIER, EXC, OUTPUT, STATE
 
@@ -257,7 +257,7 @@ class TestCheckAlgebraic:
         ce = report.counterexample
         assert ce["lhs"] != ce["rhs"]
         # the stored pieces replay to the same violation
-        from effectdiagrams.algebra import algebraic_violation
+        from effectdiagrams.lawcheck import algebraic_violation
         assert algebraic_violation(bogus, ce["args"], ce["kleisli"])
 
     def test_report_serializes(self):

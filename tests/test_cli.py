@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import effectdiagrams as ed
-from effectdiagrams import presentations
+from effectdiagrams import cli, monads, presentations
 from effectdiagrams.cli import build_parser, main
 
 from test_golden import workdir  # noqa: F401 (the golden files fixture)
@@ -361,6 +361,45 @@ class TestParser:
             fresh.append((done.returncode, done.stdout, done.stderr))
         assert [r[0] for r in in_process] == [0, 0, 0, 2, 0]
         assert in_process == fresh
+
+
+class Faults(monads.Exc):
+    """A throwaway seventh instance: exceptions under another tag."""
+
+    tag = "faults"
+    param = "faults"
+    default = "f1,f2"
+    help = "comma-separated labels for the faults monad"
+
+
+class TestSeventhInstance:
+    """One subclass plus one registry entry reaches every list."""
+
+    @pytest.fixture(autouse=True)
+    def faults(self, monkeypatch):
+        monkeypatch.setitem(monads.INSTANCES, "faults", Faults())
+        # the module parser was built from the registry at import
+        monkeypatch.setattr(cli, "_PARSER", build_parser())
+
+    def test_option_default_kind_and_laws_come_from_the_registry(
+            self, capsys):
+        args = build_parser().parse_args(["laws"])
+        assert args.faults == "f1,f2"
+        assert ed.MonadKind("faults", ("f1", "f2")) in ed.default_kinds()
+        code, out, _ = run(capsys, "laws", "--monads", "faults", "--laws",
+                           "kleisli", "--trials", "2")
+        assert code == 0 and out.endswith("expectations met (seed=1)")
+        code, out, _ = run(capsys, "eval", "-m", "faults", "--faults",
+                           "f1,f2", "raise[f2]()")
+        assert code == 0 and out == "raise f2"
+
+    def test_a_law_broken_by_design_needs_an_expected_failure(self, capsys):
+        code, out, _ = run(capsys, "laws", "--trials", "2")
+        unexpected = [line.split()[:2] for line in out.splitlines()
+                      if line.endswith("<-- unexpected")]
+        assert code == 1
+        assert unexpected == [["absorption", "faults"],
+                              ["commutativity", "faults"]]
 
 
 CYCLE_FREE = [

@@ -36,6 +36,7 @@ FILES = {
     'bool-row.json':
         ('{"effect":{"arity":1,"body":{"kind":"maybe","value":1}},"row":'
          '[true]}\n'),
+    'oops.defs': 'oops\n',
 }
 # one-slot dist presentations whose probability breaks the "n"/"p/q" format
 FILES.update({
@@ -499,6 +500,12 @@ CASES = [
     (['eval', '-m', 'state', '--locations', 'l0,l0', 'v'],
      3, '',
      "kind error: duplicate entries in locations: ('l0', 'l0')\n"),
+    (['eval', '-m', 'output', 'print[a b](v)'],
+     2, '',
+     "parse error: expected ',' or ']' in index list (at offset 8)\n"),
+    (['eval', '--prelude', '{dir}/oops.defs', 'v'],
+     2, '',
+     "parse error: bad definition line: 'oops' (at offset 0)\n"),
 ]
 
 

@@ -155,6 +155,13 @@ class TestSubstitute:
         got = ed.substitute(ed.parse("\\x. y x_1"), "y", Var("x"))
         assert str(got) == "\\x_2. x x_1"
 
+    @pytest.mark.parametrize("src, closed", [
+        ("\\x. x", True),
+        ("\\x. y", False),
+    ])
+    def test_is_closed(self, src, closed):
+        assert ed.is_closed(ed.parse(src)) is closed
+
     def test_beta_equivalence_preserved(self):
         # ((\y. x y) applied later must not capture the substituted y
         term = ed.parse("\\y. x y")

@@ -31,6 +31,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(carrier_size_max=len(gen.LETTERS) + 1)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ed.LawSuiteConfig(carrier_size_max=0),
+         "bounds must be >= 1"),
+        (lambda: ed.check_algebraic(
+            ed.descriptor_op(ed.signature(ed.POWERSET)[0]), trials=0),
+         "trials must be >= 1"),
+    ])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_arity_bounded_by_half_the_cap(self):
         small_config(arity_max=ed.MAX_ARITY // 2)
         with pytest.raises(ValueError, match="arity_max must be <= 32"):

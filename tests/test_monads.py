@@ -729,6 +729,10 @@ class TestKindErrorMessages:
         (lambda: ed.op_apply(ed.OpDescriptor("union", ed.POWERSET),
                              [ed.unit(ed.DIST, "v"), ed.unit(ed.DIST, "w")]),
          "argument of kind dist passed to a set op"),
+        (lambda: serialize.dumps(ed.unit(ed.MAYBE, True)),
+         "boolean carrier elements are not supported"),
+        (lambda: ed.state_kind(()),
+         "state monad needs a non-empty location list"),
     ])
     def test_message(self, build, message):
         with pytest.raises(ed.KindError, match=message):

@@ -192,6 +192,21 @@ class TestExtend:
             ed.extend(xi, (1,), 3, ("y",))
 
 
+class TestValueErrorMessages:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ed.extend(pres(dist_effect(F(1)), "x"), (1, 2), 3, ("y",)),
+         "injection has 2 entries, expected 1"),
+        (lambda: ed.extend(pres(dist_effect(F(1)), "x"), (4,), 3,
+                           ("y", "z")),
+         r"injection targets outside 1\.\.3: \(4,\)"),
+        (lambda: ed.render(pres(dist_effect(F(1)), "x"), "yaml"),
+         "unknown render format 'yaml'"),
+    ])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestRender:
     def test_trivial(self):
         assert ed.render(pres(ed.trivial_effect(ed.MAYBE), "v")) == \
