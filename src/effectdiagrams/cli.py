@@ -74,12 +74,7 @@ def _cmd_compose(args) -> int:
     for path in args.files:
         with open(path, encoding="utf-8") as handle:
             loaded.append(presentations.from_obj(json.load(handle)))
-    outer, family = loaded[0], loaded[1:]
-    try:
-        result = seq_compose(outer, family)
-    except ArityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    result = seq_compose(loaded[0], loaded[1:])
     print(render(result, args.format))
     return 0
 
@@ -183,6 +178,9 @@ def main(argv=None) -> int:
         label = "signature" if isinstance(exc, SignatureError) else "kind"
         print(f"{label} error: {exc}", file=sys.stderr)
         return 3
+    except ArityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (EvalError, ArityCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

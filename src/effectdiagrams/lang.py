@@ -424,6 +424,8 @@ def evaluate(term: Term, kind: MonadKind, fuel: int) -> MonadValue:
     spent fuel yields the instance bottom.  For any k <= k' the result
     at k is below the result at k' in the instance order.
     """
+    if not isinstance(fuel, int) or isinstance(fuel, bool):
+        raise TypeError(f"fuel must be an int, got {fuel!r}")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     return _eval(term, kind, fuel)

@@ -447,6 +447,8 @@ class LawSuiteConfig:
     laws: tuple = ALL_LAWS
 
     def __post_init__(self):
+        object.__setattr__(self, "monads", tuple(self.monads))
+        object.__setattr__(self, "laws", tuple(self.laws))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.carrier_size_max < 1 or self.arity_max < 1:

@@ -34,7 +34,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -74,17 +74,19 @@ def canonical_key(x):
 
 @dataclass(frozen=True)
 class MonadKind:
-    """Which instance a value belongs to, plus its parameters.
+    """Which instance a value belongs to, plus its parameters; the one
+    way to build a kind, whose JSON envelope lives only in ``serialize``.
 
     ``params`` holds the exception labels of ``exc``, the locations of
-    ``state`` or the characters of ``output``, without duplicates; it is
-    empty for an instance whose ``param`` is ``None``.
+    ``state`` or the characters of ``output``, stored as a tuple without
+    duplicates; it is empty for an instance whose ``param`` is ``None``.
     """
 
     tag: str
     params: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "params", tuple(self.params))
         inst = instance(self.tag)
         if self.params and inst.param is None:
             raise KindError(f"the {self.tag} monad takes no parameters")
@@ -235,20 +237,10 @@ class Instance:
     def check_kind(self, kind: MonadKind) -> None:
         """Reject parameters this instance cannot work with."""
 
-    def make_kind(self, entries: Iterable = ()) -> MonadKind:
-        """This instance's kind with ``entries`` as its parameter."""
-        return MonadKind(self.tag, tuple(entries))
-
     def kind_from_text(self, texts: Mapping[str, str]) -> MonadKind:
         """The kind named by command-line texts keyed by parameter."""
-        return self.make_kind(
-            texts[self.param].split(",") if self.param else ())
-
-    def kind_to_obj(self, kind: MonadKind) -> dict:
-        obj = {"kind": self.tag}
-        if self.param is not None:
-            obj[self.param] = list(kind.params)
-        return obj
+        return MonadKind(
+            self.tag, texts[self.param].split(",") if self.param else ())
 
     def returns(self, payload) -> Iterable:
         """The carrier elements a payload may return, each once.
@@ -279,7 +271,7 @@ class Instance:
 
     def minimal_kind(self, name: str, index) -> MonadKind:
         """The smallest kind whose signature has this operation."""
-        return self.make_kind((index,) if self.param else ())
+        return MonadKind(self.tag, (index,) if self.param else ())
 
     def enumerate(self, kind: MonadKind, carrier: list) -> Optional[list]:
         return None
@@ -700,7 +692,7 @@ class State(Instance):
         return _state_effect(len(kind.params), kind.params.index(loc), bit)
 
     def minimal_kind(self, name, index):
-        return self.make_kind((index if name == "read" else index[0],))
+        return MonadKind(self.tag, (index if name == "read" else index[0],))
 
     def to_obj(self, payload):
         return {"table": [
@@ -759,7 +751,7 @@ class Output(Instance):
             raise KindError("alphabet entries must be single characters")
 
     def kind_from_text(self, texts):
-        return self.make_kind(texts[self.param])
+        return MonadKind(self.tag, texts[self.param])
 
     def normalise(self, kind, payload):
         w, tail = payload
@@ -830,8 +822,6 @@ INSTANCES: dict[str, Instance] = {
     inst.tag: inst
     for inst in (Maybe(), Exc(), Powerset(), Dist(), State(), Output())}
 
-KNOWN_TAGS = tuple(INSTANCES)
-
 
 def instance(tag: str) -> Instance:
     """The registered instance for a tag."""
@@ -846,9 +836,9 @@ POWERSET = MonadKind("set")
 DIST = MonadKind("dist")
 
 
-exception_kind = INSTANCES["exc"].make_kind
-state_kind = INSTANCES["state"].make_kind
-output_kind = INSTANCES["output"].make_kind
+exception_kind = partial(MonadKind, "exc")
+state_kind = partial(MonadKind, "state")
+output_kind = partial(MonadKind, "output")
 
 
 def stores(kind: MonadKind) -> list[tuple[int, ...]]:

@@ -5,21 +5,23 @@ in lowest terms (``"1/2"``, ``"1"``); dict-like payloads are emitted in
 canonical carrier order so equal values always serialize identically.
 Carrier elements serialize as JSON numbers (ints) or strings; any other
 element (a syntax tree, say) is flattened to its printed form and comes
-back as a string.  The per-instance layouts live in ``monads``.
+back as a string.  A kind's envelope is read and written only here; the
+per-instance payload layouts live in ``monads``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .monads import INSTANCES, KindError, MonadValue, instance
+from .monads import INSTANCES, KindError, MonadKind, MonadValue, instance
 from .monads import value_from_obj, value_to_obj  # noqa: F401 (re-exported)
 
 
 def to_obj(mu: MonadValue) -> dict:
     """Serialize a monad value to a JSON-ready dict."""
     inst = INSTANCES[mu.kind.tag]
-    return {**inst.kind_to_obj(mu.kind), **inst.to_obj(mu.payload)}
+    params = {inst.param: list(mu.kind.params)} if inst.param else {}
+    return {"kind": inst.tag, **params, **inst.to_obj(mu.payload)}
 
 
 def malformed(what: str, exc: Exception) -> KindError:
@@ -38,7 +40,10 @@ def from_obj(obj: dict) -> MonadValue:
         raise KindError(f"bad serialized monad value: {obj!r}")
     inst = instance(obj["kind"])
     try:
-        kind = inst.make_kind(obj[inst.param] if inst.param else ())
+        params = obj[inst.param] if inst.param else []
+        if not isinstance(params, list):
+            raise TypeError(f"{inst.param} {params!r} is not a list")
+        kind = MonadKind(inst.tag, params)
         payload = inst.from_obj(kind, obj)
     except KindError:
         raise

@@ -271,10 +271,10 @@ def exchange_kinds():
     """Every registered instance; parametrised ones at 1, 2 and 3 entries."""
     for tag, inst in ed.monads.INSTANCES.items():
         if inst.param is None:
-            yield pytest.param(inst.make_kind(), id=tag)
+            yield pytest.param(ed.MonadKind(tag), id=tag)
             continue
         for n in (1, 2, 3):
-            yield pytest.param(inst.make_kind("abc"[:n]), id=f"{tag}-{n}")
+            yield pytest.param(ed.MonadKind(tag, "abc"[:n]), id=f"{tag}-{n}")
 
 
 class TestCheckCommutative:

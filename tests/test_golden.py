@@ -37,6 +37,9 @@ FILES = {
         ('{"effect":{"arity":1,"body":{"kind":"maybe","value":1}},"row":'
          '[true]}\n'),
     'oops.defs': 'oops\n',
+    'string-locations.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":"l0","t'
+         'able":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
 }
 # one-slot dist presentations whose probability breaks the "n"/"p/q" format
 FILES.update({
@@ -506,6 +509,10 @@ CASES = [
     (['eval', '--prelude', '{dir}/oops.defs', 'v'],
      2, '',
      "parse error: bad definition line: 'oops' (at offset 0)\n"),
+    (['compose', '{dir}/string-locations.json'],
+     3, '',
+     ("kind error: bad serialized state value: locations 'l0' is not a l"
+      "ist\n")),
 ]
 
 

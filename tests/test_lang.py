@@ -187,6 +187,12 @@ class TestEvaluate:
             term = ed.parse(src)
             assert ed.evaluate(term, ed.DIST, 0) == ed.unit(ed.DIST, term)
 
+    @pytest.mark.parametrize("fuel", [2.5, True, "3"])
+    def test_fuel_that_is_not_an_int_is_refused(self, fuel):
+        term = ed.parse("OMEGA", defs=DEFS)
+        with pytest.raises(TypeError, match="fuel must be an int"):
+            ed.evaluate(term, ed.MAYBE, fuel)
+
     def test_nested_choice(self):
         got = ev("choice(v, choice(v, w))", ed.DIST, fuel=10)
         # 1/2 + 1/2 * 1/2 on v, 1/2 * 1/2 on w

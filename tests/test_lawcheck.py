@@ -51,6 +51,14 @@ class TestConfig:
         report = ed.run_law_suite(small_config(laws=()))
         assert report.results == () and report.ok
 
+    def test_config_keeps_tuples(self):
+        cfg = ed.LawSuiteConfig(trials=2, laws=["unit"], monads=[ed.MAYBE])
+        assert cfg.laws == ("unit",) and cfg.monads == (ed.MAYBE,)
+        with pytest.raises(AttributeError):
+            cfg.laws.append("nope")
+        assert hash(cfg) == hash(ed.LawSuiteConfig(
+            trials=2, laws=("unit",), monads=(ed.MAYBE,)))
+
     def test_failing_report_cannot_be_cleared(self):
         unexpected = ed.LawResult("unit", ed.MAYBE, False, 1, 1)
         report = ed.SuiteReport(1, [unexpected])

@@ -707,6 +707,23 @@ class TestValidation:
 BOTTOM_TABLE = ed.bottom(STATE).payload
 
 
+PARAMETRISED = [tag for tag, inst in ed.monads.INSTANCES.items()
+                if inst.param is not None]
+
+
+class TestKindConstructor:
+    @pytest.mark.parametrize("tag", PARAMETRISED)
+    def test_list_tuple_and_string_params_build_one_kind(self, tag):
+        built = [ed.MonadKind(tag, ["a", "b"]), ed.MonadKind(tag, ("a", "b"))]
+        if tag == "output":
+            built.append(ed.MonadKind(tag, "ab"))
+        for kind in built:
+            assert kind == built[0] and hash(kind) == hash(built[0])
+            assert type(kind.params) is tuple
+        with pytest.raises(AttributeError):
+            built[0].params.append("c")
+
+
 class TestKindErrorMessages:
     @pytest.mark.parametrize("build, message", [
         (lambda: ed.MonadValue(STATE, {**BOTTOM_TABLE, "s": ed.DIVERGE}),
@@ -733,6 +750,9 @@ class TestKindErrorMessages:
          "boolean carrier elements are not supported"),
         (lambda: ed.state_kind(()),
          "state monad needs a non-empty location list"),
+        (lambda: serialize.loads(
+            '{"kind":"state","locations":"l0","table":[]}'),
+         "locations 'l0' is not a list"),
     ])
     def test_message(self, build, message):
         with pytest.raises(ed.KindError, match=message):
@@ -749,6 +769,7 @@ class TestDescriptorValidation:
         ("write", STATE, "l0"),
         ("print", OUTPUT, "z"),
         ("print", ed.MAYBE, "a"),
+        ("print", ed.MonadKind("output", "ab"), "ab"),
     ])
     def test_outside_signature_rejected(self, name, kind, index):
         with pytest.raises(ed.SignatureError):

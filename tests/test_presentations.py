@@ -401,7 +401,7 @@ class TestImmutability:
 # often gets past the first checks
 FORMAT_WORDS = ("effect", "row", "arity", "body", "kind", "elements",
                 "entries", "table", "value", "raised", "bottom", "out",
-                *monads.KNOWN_TAGS, "exceptions", "locations", "alphabet",
+                *monads.INSTANCES, "exceptions", "locations", "alphabet",
                 "err", "l0", "a", "0", "01", "1/2", "1", "-1/2", "1/0")
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 70) | st.floats()
