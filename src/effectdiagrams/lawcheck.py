@@ -16,7 +16,10 @@ yields a ``LawResult``, the one report type.
 The default instances are every entry of ``monads.INSTANCES`` at its
 command-line default.  Each (law, monad) cell seeds its own
 ``gen.Draws`` from the suite seed, so reports are reproducible and
-independent of execution order.  Two laws fail by design and ship in
+independent of execution order.  ``run_law_suite`` therefore runs half
+of the cells in a forked child when a second CPU is usable and no other
+thread runs (see ``_run_cells``); its report is the one a single
+process gives.  Two laws fail by design and ship in
 ``EXPECTED_FAIL``: a raise or a print survives a later divergence
 (absorption), and the order of two raises, prints or store updates is
 observable (commutativity).
@@ -25,7 +28,9 @@ observable (commutativity).
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -70,6 +75,12 @@ class LawResult:
         if self.counterexample is not None:
             object.__setattr__(self, "counterexample",
                                MappingProxyType(dict(self.counterexample)))
+
+    def __reduce__(self):
+        witness = self.counterexample
+        return LawResult, (self.law, self.monad, self.passed, self.trials,
+                           self.seed, None if witness is None
+                           else dict(witness))
 
     @property
     def expected_pass(self) -> bool:
@@ -437,6 +448,11 @@ _LAWS: dict[str, tuple] = {
 ALL_LAWS = tuple(_LAWS)
 
 
+def _check_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LawSuiteConfig:
     seed: int = 1
@@ -449,6 +465,8 @@ class LawSuiteConfig:
     def __post_init__(self):
         object.__setattr__(self, "monads", tuple(self.monads))
         object.__setattr__(self, "laws", tuple(self.laws))
+        for name in ("seed", "trials", "carrier_size_max", "arity_max"):
+            _check_int(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.carrier_size_max < 1 or self.arity_max < 1:
@@ -465,22 +483,95 @@ class LawSuiteConfig:
 
 
 def _run(law: str, kind: MonadKind, rng: random.Random,
-         cfg: LawSuiteConfig) -> LawResult:
+         cfg: LawSuiteConfig) -> tuple[bool, int, Optional[dict]]:
     """Search one law on one instance: fixed cases, then drawn ones."""
     violation, fixed, cases, shrink = _LAWS[law]
     drawn = cases(kind, rng, gen.LETTERS[:cfg.carrier_size_max],
                   cfg.arity_max)
-    passed, trials, witness = _search(
-        violation, fixed(kind) if fixed else (),
-        itertools.islice(drawn, cfg.trials), shrink)
-    return LawResult(law, kind, passed, trials, cfg.seed, witness)
+    return _search(violation, fixed(kind) if fixed else (),
+                   itertools.islice(drawn, cfg.trials), shrink)
+
+
+def _run_cell(cell: tuple, cfg: LawSuiteConfig) \
+        -> tuple[bool, int, Optional[dict]]:
+    law, kind = cell
+    return _run(law, kind, gen.Draws(f"{cfg.seed}:{law}:{kind.tag}"), cfg)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cells(cells: list, cfg: LawSuiteConfig) -> list:
+    """Every cell's (passed, trials, witness), in the order of ``cells``.
+
+    With a second usable CPU, ``os.fork`` and no other thread, a forked
+    child runs the black squares of a checkerboard over the law-major
+    (law, instance) grid and pickles their outcomes into a pipe, while
+    this process runs the white ones.  The child always leaves through
+    ``os._exit``, so it flushes no inherited stream and runs no exit
+    handler.  If it cannot be forked, fails or sends a short
+    pickle, its cells run here, so an error surfaces as it would
+    without the child.
+    """
+    if (len(cells) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2
+            or threading.active_count() != 1):
+        return [_run_cell(cell, cfg) for cell in cells]
+    import pickle   # here only: importing it costs ~2 ms of start-up
+    width = len(cfg.monads)
+    black = [(i // width + i % width) % 2 == 1 for i in range(len(cells))]
+    theirs = [cell for cell, b in zip(cells, black) if b]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:     # no process to spare: run everything here
+        os.close(read_fd)
+        os.close(write_fd)
+        return [_run_cell(cell, cfg) for cell in cells]
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            blob = pickle.dumps([_run_cell(cell, cfg) for cell in theirs],
+                                pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(blob)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            ours = [_run_cell(cell, cfg)
+                    for cell, b in zip(cells, black) if not b]
+            blob = pipe.read()
+    except BaseException:
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    got = None
+    if os.waitstatus_to_exitcode(status) == 0:
+        try:
+            got = pickle.loads(blob)
+        except (EOFError, pickle.UnpicklingError):
+            pass
+    if got is None:
+        got = [_run_cell(cell, cfg) for cell in theirs]
+    ours, got = iter(ours), iter(got)
+    return [next(got) if b else next(ours) for b in black]
 
 
 def run_law_suite(cfg: LawSuiteConfig) -> SuiteReport:
     """Run every configured law against every configured instance."""
+    cells = [(law, kind) for law in cfg.laws for kind in cfg.monads]
     return SuiteReport(cfg.seed, [
-        _run(law, kind, gen.Draws(f"{cfg.seed}:{law}:{kind.tag}"), cfg)
-        for law in cfg.laws for kind in cfg.monads])
+        LawResult(law, kind, passed, trials, cfg.seed, witness)
+        for (law, kind), (passed, trials, witness)
+        in zip(cells, _run_cells(cells, cfg))])
 
 
 def check_algebraic(op: DerivedOperation, trials: int = 100,
@@ -492,6 +583,8 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
     arguments, the entries of the function table that the check read,
     and both sides.
     """
+    _check_int("trials", trials)
+    _check_int("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     domain = gen.LETTERS[:3]
@@ -520,8 +613,9 @@ def check_commutative(kind: MonadKind, trials: int = 50,
     deterministic pairs (two signature effects, or one against bottom),
     so a witness is always one of them and is reported unshrunk.
     """
-    return _run("commutativity", kind, gen.Draws(seed),
-                LawSuiteConfig(seed, trials))
+    passed, ran, witness = _run("commutativity", kind, gen.Draws(seed),
+                                LawSuiteConfig(seed, trials))
+    return LawResult("commutativity", kind, passed, ran, seed, witness)
 
 
 def replay(law: str, kind: MonadKind, counterexample: Mapping) -> bool:

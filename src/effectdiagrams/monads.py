@@ -173,6 +173,14 @@ class MonadValue:
     def __repr__(self):
         return f"MonadValue({self.kind.tag}, {self.payload!r})"
 
+    def __reduce__(self):
+        # a mapping payload pickles as a plain dict; the payload is
+        # canonical already, so it is rebuilt unchecked
+        payload = self.payload
+        if type(payload) is MappingProxyType:
+            payload = dict(payload)
+        return _trusted, (self.kind, payload)
+
 
 def _normalise(kind: MonadKind, payload):
     """Check and canonicalise a payload: the one validating entry point."""

@@ -2,12 +2,17 @@
 
 import itertools
 import json
+import os
+import pickle
+import re
+import threading
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 import effectdiagrams as ed
-from effectdiagrams import gen, lawcheck, monads
+from effectdiagrams import cli, gen, lawcheck, monads
 from effectdiagrams.lawcheck import ALL_LAWS, EXPECTED_FAIL
 
 
@@ -41,6 +46,23 @@ class TestConfig:
     def test_message(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("field", ["seed", "trials", "carrier_size_max",
+                                       "arity_max"])
+    @pytest.mark.parametrize("value", [2.5, True, "3", None])
+    def test_bounds_must_be_ints(self, field, value):
+        message = re.escape(f"{field} must be an int, got {value!r}")
+        with pytest.raises(TypeError, match=message):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "trials"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_single_checks_take_ints(self, field, value):
+        op = ed.descriptor_op(ed.signature(ed.POWERSET)[0])
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            ed.check_algebraic(op, **{field: value})
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            ed.check_commutative(ed.POWERSET, **{field: value})
 
     def test_arity_bounded_by_half_the_cap(self):
         small_config(arity_max=ed.MAX_ARITY // 2)
@@ -361,3 +383,164 @@ class TestLazyTables:
         with pytest.raises(KeyError):
             table[missing]
         assert len(table) == 1
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _planted_unit(tag):
+    """The unit law's row, with a predicate that raises on ``tag``."""
+    violation, fixed, cases, shrink = lawcheck._LAWS["unit"]
+
+    def planted(xi):
+        if xi.kind.tag == tag:
+            raise ZeroDivisionError(f"planted on {tag}")
+        return violation(xi)
+
+    return planted, fixed, cases, shrink
+
+
+class TestTwoProcesses:
+    """A forked child runs half of the cells and changes no report."""
+
+    @pytest.fixture(autouse=True)
+    def _count_forks(self, monkeypatch):
+        self.monkeypatch, self.forks = monkeypatch, []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                self.forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield
+        _no_children_left()
+
+    def cpus(self, n):
+        self.monkeypatch.setattr(lawcheck, "_usable_cpus", lambda: n)
+
+    def reports(self, cfg):
+        """The report on one CPU, on two, and the number of forks."""
+        self.cpus(1)
+        serial = ed.run_law_suite(cfg)
+        _no_children_left()
+        self.cpus(2)
+        before = len(self.forks)
+        split = ed.run_law_suite(cfg)
+        _no_children_left()
+        return serial, split, len(self.forks) - before
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_same_report_as_one_process(self, seed):
+        serial, split, made = self.reports(small_config(seed=seed))
+        assert made == 1
+        assert split.to_obj() == serial.to_obj()
+        assert split.results == serial.results
+        assert sum(not r.passed for r in split.results) == 5
+
+    def test_this_process_runs_the_white_squares(self):
+        ran = []
+        real_run_cell = lawcheck._run_cell
+        self.monkeypatch.setattr(
+            lawcheck, "_run_cell",
+            lambda cell, cfg: ran.append(cell) or real_run_cell(cell, cfg))
+        self.cpus(2)
+        cfg = small_config(trials=3)
+        ed.run_law_suite(cfg)
+        assert ran == [(law, kind) for i, law in enumerate(cfg.laws)
+                       for j, kind in enumerate(cfg.monads)
+                       if (i + j) % 2 == 0]
+
+    @pytest.mark.parametrize("laws, monads, made", [
+        (("unit",), (ed.MAYBE,), 0),
+        (("unit",), (ed.MAYBE, ed.POWERSET), 1),
+        (("absorption", "commutativity"), (ed.output_kind(("a",)),), 1),
+        (ALL_LAWS[:3], (ed.DIST, ed.POWERSET, ed.DIST), 1),
+    ])
+    def test_small_configs(self, laws, monads, made):
+        cfg = small_config(seed=6, laws=laws, monads=monads)
+        serial, split, forked = self.reports(cfg)
+        assert forked == made
+        assert split.to_obj() == serial.to_obj()
+
+    @pytest.mark.parametrize("seed", ["1", "3"])
+    def test_same_laws_text(self, capsys, seed):
+        outputs = []
+        for cpus in (1, 2):
+            self.cpus(cpus)
+            for fmt in ("text", "machine"):
+                code = cli.main(["laws", "--seed", seed, "--trials", "5",
+                                 "--format", fmt])
+                _no_children_left()
+                outputs.append((code, *capsys.readouterr()))
+        assert len(self.forks) == 2
+        assert outputs[:2] == outputs[2:]
+        assert outputs[0][1].count("expectations met") == 1
+
+    def test_no_output_written_twice(self, capfd):
+        self.cpus(2)
+        print("before the suite", end="")
+        ed.run_law_suite(small_config(trials=3))
+        assert len(self.forks) == 1
+        assert capfd.readouterr() == ("before the suite", "")
+
+    @pytest.mark.parametrize("tag", ["maybe", "set"])
+    def test_a_raising_cell_raises_from_either_half(self, tag):
+        # maybe is this process's cell, set the child's
+        self.monkeypatch.setitem(lawcheck._LAWS, "unit", _planted_unit(tag))
+        self.cpus(2)
+        cfg = small_config(laws=("unit",), monads=(ed.MAYBE, ed.POWERSET))
+        with pytest.raises(ZeroDivisionError, match=f"^planted on {tag}$"):
+            ed.run_law_suite(cfg)
+        assert len(self.forks) == 1
+
+    def test_a_short_pickle_reruns_the_childs_cells(self):
+        serial, _, _ = self.reports(small_config(seed=2))
+        real_dumps = pickle.dumps
+        self.monkeypatch.setattr(pickle, "dumps",
+                            lambda obj, *args: real_dumps(obj, *args)[:-3])
+        split = ed.run_law_suite(small_config(seed=2))
+        assert split.to_obj() == serial.to_obj()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open descriptors in /proc")
+    def test_one_process_when_fork_fails(self):
+        serial, _, _ = self.reports(small_config(seed=2))
+
+        def refuse():
+            raise BlockingIOError("no process to spare")
+
+        self.monkeypatch.setattr(os, "fork", refuse)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        split = ed.run_law_suite(small_config(seed=2))
+        assert split.to_obj() == serial.to_obj()
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_one_process_while_another_thread_runs(self):
+        self.cpus(2)
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait)
+        worker.start()
+        try:
+            report = ed.run_law_suite(small_config(trials=3))
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert self.forks == [] and report.ok
+
+    def test_reports_pickle(self):
+        report = ed.run_law_suite(small_config(seed=2, trials=15))
+        failing = [r for r in report.results if not r.passed]
+        assert len(failing) == 5
+        for res in report.results:
+            back = pickle.loads(pickle.dumps(res, pickle.HIGHEST_PROTOCOL))
+            assert back == res and back.to_obj() == res.to_obj()
+        for res in failing:
+            back = pickle.loads(pickle.dumps(res))
+            assert type(back.counterexample) is MappingProxyType
+            assert ed.replay(back.law, back.monad, back.counterexample)

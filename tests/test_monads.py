@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 from types import MappingProxyType
@@ -855,6 +856,20 @@ class TestTrustedPath:
             assert canon == out.payload
             assert type(canon) is type(out.payload)
             assert repr(canon) == repr(out.payload)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.tag)
+def test_values_pickle(kind):
+    # the law suite sends witnesses between processes as pickles
+    rng = gen.Draws(f"pickle:{kind.tag}")
+    for _ in range(40):
+        mu = gen.random_value(kind, rng, CARRIER)
+        back = pickle.loads(pickle.dumps(mu, pickle.HIGHEST_PROTOCOL))
+        assert back == mu and type(back.payload) is type(mu.payload)
+        assert serialize.to_obj(back) == serialize.to_obj(mu)
+        # a set may iterate in another order; a mapping keeps its order
+        if type(mu.payload) is MappingProxyType:
+            assert list(back.payload.items()) == list(mu.payload.items())
 
 
 @pytest.mark.parametrize("fn, params", [
