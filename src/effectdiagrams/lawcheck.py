@@ -17,9 +17,9 @@ The default instances are every entry of ``monads.INSTANCES`` at its
 command-line default.  Each (law, monad) cell seeds its own
 ``gen.Draws`` from the suite seed, so reports are reproducible and
 independent of execution order.  ``run_law_suite`` therefore runs half
-of the cells in a forked child when a second CPU is usable and no other
-thread runs (see ``_run_cells``); its report is the one a single
-process gives.  Two laws fail by design and ship in
+of the cells in a forked child when the suite is large enough to repay
+the fork, a second CPU is usable and no other thread runs (see
+``_run_cells``); its report is the one a single process gives.  Two laws fail by design and ship in
 ``EXPECTED_FAIL``: a raise or a print survives a later divergence
 (absorption), and the order of two raises, prints or store updates is
 observable (commutativity).
@@ -498,6 +498,14 @@ def _run_cell(cell: tuple, cfg: LawSuiteConfig) \
     return _run(law, kind, gen.Draws(f"{cfg.seed}:{law}:{kind.tag}"), cfg)
 
 
+# Cells times trials below which the suite runs in one process.  On a
+# 2-vCPU machine a fork and reap cost ~1.6 ms of wall time, and two
+# processes broke even on the default instances at about 150-200 (4-5 ms
+# of work); at 400 they took 0.6-0.75 of the one-process time.  A suite
+# of cheap cells (absorption alone) breaks even only near 750.
+_SPLIT_MIN_WORK = 400
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -507,16 +515,18 @@ def _usable_cpus() -> int:
 def _run_cells(cells: list, cfg: LawSuiteConfig) -> list:
     """Every cell's (passed, trials, witness), in the order of ``cells``.
 
-    With a second usable CPU, ``os.fork`` and no other thread, a forked
-    child runs the black squares of a checkerboard over the law-major
-    (law, instance) grid and pickles their outcomes into a pipe, while
-    this process runs the white ones.  The child always leaves through
+    With at least ``_SPLIT_MIN_WORK`` cells times trials, a second
+    usable CPU, ``os.fork`` and no other thread, a forked child runs the
+    black squares of a checkerboard over the law-major (law, instance)
+    grid and pickles their outcomes into a pipe, while this process runs
+    the white ones.  The child always leaves through
     ``os._exit``, so it flushes no inherited stream and runs no exit
     handler.  If it cannot be forked, fails or sends a short
     pickle, its cells run here, so an error surfaces as it would
     without the child.
     """
-    if (len(cells) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2
+    if (len(cells) < 2 or len(cells) * cfg.trials < _SPLIT_MIN_WORK
+            or not hasattr(os, "fork") or _usable_cpus() < 2
             or threading.active_count() != 1):
         return [_run_cell(cell, cfg) for cell in cells]
     import pickle   # here only: importing it costs ~2 ms of start-up

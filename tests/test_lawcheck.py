@@ -403,11 +403,18 @@ def _planted_unit(tag):
 
 
 class TestTwoProcesses:
-    """A forked child runs half of the cells and changes no report."""
+    """A forked child runs half of the cells and changes no report.
+
+    Every suite here may split, whatever its size, except in the tests
+    of the size cutoff itself.
+    """
+
+    SPLIT_MIN_WORK = lawcheck._SPLIT_MIN_WORK
 
     @pytest.fixture(autouse=True)
     def _count_forks(self, monkeypatch):
         self.monkeypatch, self.forks = monkeypatch, []
+        monkeypatch.setattr(lawcheck, "_SPLIT_MIN_WORK", 2)
         real_fork = os.fork
 
         def fork():
@@ -466,6 +473,26 @@ class TestTwoProcesses:
         serial, split, forked = self.reports(cfg)
         assert forked == made
         assert split.to_obj() == serial.to_obj()
+
+    @pytest.mark.parametrize("trials, made", [
+        (SPLIT_MIN_WORK // 2 - 1, 0), (SPLIT_MIN_WORK // 2, 1)])
+    def test_small_suites_stay_in_one_process(self, trials, made):
+        self.monkeypatch.setattr(lawcheck, "_SPLIT_MIN_WORK",
+                                 self.SPLIT_MIN_WORK)
+        cfg = small_config(laws=("unit",), monads=(ed.MAYBE, ed.POWERSET),
+                           trials=trials)
+        serial, split, forked = self.reports(cfg)
+        assert forked == made
+        assert split.to_obj() == serial.to_obj()
+
+    def test_the_cli_default_suite_splits(self, capsys):
+        self.monkeypatch.setattr(lawcheck, "_SPLIT_MIN_WORK",
+                                 self.SPLIT_MIN_WORK)
+        self.cpus(2)
+        assert cli.main(["laws", "--seed", "2", "--trials", "8"]) == 0
+        _no_children_left()
+        assert len(self.forks) == 1
+        assert capsys.readouterr().out.endswith("expectations met (seed=2)\n")
 
     @pytest.mark.parametrize("seed", ["1", "3"])
     def test_same_laws_text(self, capsys, seed):
