@@ -17,20 +17,21 @@ The default instances are every entry of ``monads.INSTANCES`` at its
 command-line default.  Each (law, monad) cell seeds its own
 ``gen.Draws`` from the suite seed, so reports are reproducible and
 independent of execution order.  ``run_law_suite`` therefore runs half
-of the cells in a forked child when the suite is large enough to repay
-the fork, a second CPU is usable and no other thread runs (see
-``_run_cells``); its report is the one a single process gives.  Two laws fail by design and ship in
-``EXPECTED_FAIL``: a raise or a print survives a later divergence
-(absorption), and the order of two raises, prints or store updates is
-observable (commutativity).
+of the cells in a forked child once its first cells' time shows that
+the fork pays (see ``_run_cells``), and reports what one process would.
+Two laws fail by design and ship in ``EXPECTED_FAIL``: a raise or a
+print survives a later divergence (absorption), and the order of two
+raises, prints or store updates is observable (commutativity).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import random
 import threading
+import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -448,11 +449,6 @@ _LAWS: dict[str, tuple] = {
 ALL_LAWS = tuple(_LAWS)
 
 
-def _check_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LawSuiteConfig:
     seed: int = 1
@@ -463,10 +459,17 @@ class LawSuiteConfig:
     laws: tuple = ALL_LAWS
 
     def __post_init__(self):
-        object.__setattr__(self, "monads", tuple(self.monads))
-        object.__setattr__(self, "laws", tuple(self.laws))
+        for name in ("monads", "laws"):
+            if isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a sequence, not a str")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for kind in self.monads:
+            if not isinstance(kind, MonadKind):
+                raise TypeError(f"expected a MonadKind, got {kind!r}")
         for name in ("seed", "trials", "carrier_size_max", "arity_max"):
-            _check_int(name, getattr(self, name))
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.carrier_size_max < 1 or self.arity_max < 1:
@@ -498,12 +501,9 @@ def _run_cell(cell: tuple, cfg: LawSuiteConfig) \
     return _run(law, kind, gen.Draws(f"{cfg.seed}:{law}:{kind.tag}"), cfg)
 
 
-# Cells times trials below which the suite runs in one process.  On a
-# 2-vCPU machine a fork and reap cost ~1.6 ms of wall time, and two
-# processes broke even on the default instances at about 150-200 (4-5 ms
-# of work); at 400 they took 0.6-0.75 of the one-process time.  A suite
-# of cheap cells (absorption alone) breaks even only near 750.
-_SPLIT_MIN_WORK = 400
+# The wall time of a fork, a reap and an unpickle of the child's
+# outcomes: ~1.6 ms on a 2-vCPU machine.
+_FORK_S = 0.0016
 
 
 def _usable_cpus() -> int:
@@ -515,64 +515,67 @@ def _usable_cpus() -> int:
 def _run_cells(cells: list, cfg: LawSuiteConfig) -> list:
     """Every cell's (passed, trials, witness), in the order of ``cells``.
 
-    With at least ``_SPLIT_MIN_WORK`` cells times trials, a second
-    usable CPU, ``os.fork`` and no other thread, a forked child runs the
-    black squares of a checkerboard over the law-major (law, instance)
-    grid and pickles their outcomes into a pipe, while this process runs
-    the white ones.  The child always leaves through
-    ``os._exit``, so it flushes no inherited stream and runs no exit
-    handler.  If it cannot be forked, fails or sends a short
-    pickle, its cells run here, so an error surfaces as it would
-    without the child.
+    This process runs the white squares of a checkerboard over the
+    law-major (law, instance) grid.  After each, it forks a child for the
+    black squares, at most once, if the mean white cell time so far times
+    the cells both would run at once (the white ones left, at most the
+    black ones) exceeds ``_FORK_S``, and ``os.fork``, a second usable CPU
+    and no other thread allow it; so two cells never fork.  The child
+    pickles its outcomes into a pipe and leaves through ``os._exit``,
+    flushing no inherited stream.  Any cell left without an outcome runs
+    here, so an error surfaces as it would without the child.
     """
-    if (len(cells) < 2 or len(cells) * cfg.trials < _SPLIT_MIN_WORK
-            or not hasattr(os, "fork") or _usable_cpus() < 2
-            or threading.active_count() != 1):
-        return [_run_cell(cell, cfg) for cell in cells]
-    import pickle   # here only: importing it costs ~2 ms of start-up
     width = len(cfg.monads)
     black = [(i // width + i % width) % 2 == 1 for i in range(len(cells))]
-    theirs = [cell for cell, b in zip(cells, black) if b]
-    read_fd, write_fd = os.pipe()
+    white = [i for i, b in enumerate(black) if not b]
+    theirs = [i for i, b in enumerate(black) if b]
+    got = {}
+    may_fork = (hasattr(os, "fork") and _usable_cpus() >= 2
+                and threading.active_count() == 1)
+    pid = pipe = None
+    t0 = time.perf_counter()
     try:
-        pid = os.fork()
-    except OSError:     # no process to spare: run everything here
-        os.close(read_fd)
-        os.close(write_fd)
-        return [_run_cell(cell, cfg) for cell in cells]
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            blob = pickle.dumps([_run_cell(cell, cfg) for cell in theirs],
-                                pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(blob)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            ours = [_run_cell(cell, cfg)
-                    for cell, b in zip(cells, black) if not b]
-            blob = pipe.read()
+        for done, i in enumerate(white, 1):
+            got[i] = _run_cell(cells[i], cfg)
+            left = min(len(white) - done, len(theirs))
+            if may_fork and (time.perf_counter() - t0) / done * left > _FORK_S:
+                may_fork = False
+                import pickle   # here only: importing it costs ~2 ms
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:     # no process to spare
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    continue
+                if pid == 0:    # the child: never return into the caller
+                    try:
+                        os.close(read_fd)
+                        outcomes = [_run_cell(cells[j], cfg) for j in theirs]
+                        blob = pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL)
+                        with open(write_fd, "wb") as child_end:
+                            child_end.write(blob)
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+                os.close(write_fd)
+                pipe = open(read_fd, "rb")
+        blob = pipe.read() if pipe else b""
     except BaseException:
-        import signal
-        os.kill(pid, signal.SIGKILL)
+        if pid:
+            import signal
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        _, status = os.waitpid(pid, 0)
-    got = None
-    if os.waitstatus_to_exitcode(status) == 0:
-        try:
-            got = pickle.loads(blob)
-        except (EOFError, pickle.UnpicklingError):
-            pass
-    if got is None:
-        got = [_run_cell(cell, cfg) for cell in theirs]
-    ours, got = iter(ours), iter(got)
-    return [next(got) if b else next(ours) for b in black]
+        if pipe:
+            pipe.close()
+        if pid:
+            _, status = os.waitpid(pid, 0)
+    if pid and os.waitstatus_to_exitcode(status) == 0:
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):
+            got.update(zip(theirs, pickle.loads(blob)))
+    return [got[i] if i in got else _run_cell(cell, cfg)
+            for i, cell in enumerate(cells)]
 
 
 def run_law_suite(cfg: LawSuiteConfig) -> SuiteReport:
@@ -593,10 +596,7 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
     arguments, the entries of the function table that the check read,
     and both sides.
     """
-    _check_int("trials", trials)
-    _check_int("seed", seed)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    LawSuiteConfig(seed, trials, monads=(op.kind,))  # checks seed, trials
     domain = gen.LETTERS[:3]
     codomain = ("x", "y", "z")
     values = gen.enumerate_values(op.kind, domain)
@@ -624,7 +624,7 @@ def check_commutative(kind: MonadKind, trials: int = 50,
     so a witness is always one of them and is reported unshrunk.
     """
     passed, ran, witness = _run("commutativity", kind, gen.Draws(seed),
-                                LawSuiteConfig(seed, trials))
+                                LawSuiteConfig(seed, trials, monads=(kind,)))
     return LawResult("commutativity", kind, passed, ran, seed, witness)
 
 

@@ -64,6 +64,23 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"{field} must be an int"):
             ed.check_commutative(ed.POWERSET, **{field: value})
 
+    @pytest.mark.parametrize("build", [
+        lambda: ed.LawSuiteConfig(monads=("maybe",)),
+        lambda: ed.LawSuiteConfig(monads=(ed.MAYBE, None)),
+        lambda: ed.LawSuiteConfig(monads="maybe"),
+        lambda: ed.LawSuiteConfig(laws="unit"),
+        lambda: ed.check_commutative("maybe"),
+    ], ids=["str-kind", "none-kind", "str-monads", "str-laws",
+            "commutative-str-kind"])
+    def test_str_or_non_kind_rejected_before_any_cell(self, build,
+                                                      monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(lawcheck, "_run", no_cell)
+        with pytest.raises(TypeError, match="not a str|expected a MonadKind"):
+            build()
+
     def test_arity_bounded_by_half_the_cap(self):
         small_config(arity_max=ed.MAX_ARITY // 2)
         with pytest.raises(ValueError, match="arity_max must be <= 32"):
@@ -405,16 +422,15 @@ def _planted_unit(tag):
 class TestTwoProcesses:
     """A forked child runs half of the cells and changes no report.
 
-    Every suite here may split, whatever its size, except in the tests
-    of the size cutoff itself.
+    A fork costs nothing here, so every suite with a white cell left to
+    overlap forks after its first one, whatever its speed, except where
+    a test makes the fork dear.
     """
-
-    SPLIT_MIN_WORK = lawcheck._SPLIT_MIN_WORK
 
     @pytest.fixture(autouse=True)
     def _count_forks(self, monkeypatch):
         self.monkeypatch, self.forks = monkeypatch, []
-        monkeypatch.setattr(lawcheck, "_SPLIT_MIN_WORK", 2)
+        monkeypatch.setattr(lawcheck, "_FORK_S", 0.0)
         real_fork = os.fork
 
         def fork():
@@ -464,8 +480,9 @@ class TestTwoProcesses:
 
     @pytest.mark.parametrize("laws, monads, made", [
         (("unit",), (ed.MAYBE,), 0),
-        (("unit",), (ed.MAYBE, ed.POWERSET), 1),
-        (("absorption", "commutativity"), (ed.output_kind(("a",)),), 1),
+        (("unit",), (ed.MAYBE, ed.POWERSET, ed.DIST), 1),
+        (("absorption", "commutativity", "unit"),
+         (ed.output_kind(("a",)),), 1),
         (ALL_LAWS[:3], (ed.DIST, ed.POWERSET, ed.DIST), 1),
     ])
     def test_small_configs(self, laws, monads, made):
@@ -474,20 +491,22 @@ class TestTwoProcesses:
         assert forked == made
         assert split.to_obj() == serial.to_obj()
 
-    @pytest.mark.parametrize("trials, made", [
-        (SPLIT_MIN_WORK // 2 - 1, 0), (SPLIT_MIN_WORK // 2, 1)])
-    def test_small_suites_stay_in_one_process(self, trials, made):
-        self.monkeypatch.setattr(lawcheck, "_SPLIT_MIN_WORK",
-                                 self.SPLIT_MIN_WORK)
-        cfg = small_config(laws=("unit",), monads=(ed.MAYBE, ed.POWERSET),
-                           trials=trials)
+    @pytest.mark.parametrize("fork_s, laws, monads, trials", [
+        (float("inf"), ALL_LAWS, lawcheck.default_kinds(), 10),
+        (0.0, ("unit",), (ed.MAYBE, ed.POWERSET), 200),
+        (0.0, ("absorption", "commutativity"),
+         (ed.output_kind(("a",)),), 10),
+    ], ids=["dear-fork", "two-instances", "two-laws"])
+    def test_never_forks(self, fork_s, laws, monads, trials):
+        # with two cells nothing is left to overlap once the white one
+        # has run
+        self.monkeypatch.setattr(lawcheck, "_FORK_S", fork_s)
+        cfg = small_config(seed=6, laws=laws, monads=monads, trials=trials)
         serial, split, forked = self.reports(cfg)
-        assert forked == made
+        assert forked == 0
         assert split.to_obj() == serial.to_obj()
 
     def test_the_cli_default_suite_splits(self, capsys):
-        self.monkeypatch.setattr(lawcheck, "_SPLIT_MIN_WORK",
-                                 self.SPLIT_MIN_WORK)
         self.cpus(2)
         assert cli.main(["laws", "--seed", "2", "--trials", "8"]) == 0
         _no_children_left()
@@ -517,10 +536,12 @@ class TestTwoProcesses:
 
     @pytest.mark.parametrize("tag", ["maybe", "set"])
     def test_a_raising_cell_raises_from_either_half(self, tag):
-        # maybe is this process's cell, set the child's
+        # the fork follows the dist cell; maybe is this process's next
+        # cell, set the child's
         self.monkeypatch.setitem(lawcheck._LAWS, "unit", _planted_unit(tag))
         self.cpus(2)
-        cfg = small_config(laws=("unit",), monads=(ed.MAYBE, ed.POWERSET))
+        cfg = small_config(laws=("unit",),
+                           monads=(ed.DIST, ed.POWERSET, ed.MAYBE))
         with pytest.raises(ZeroDivisionError, match=f"^planted on {tag}$"):
             ed.run_law_suite(cfg)
         assert len(self.forks) == 1
@@ -546,6 +567,19 @@ class TestTwoProcesses:
         split = ed.run_law_suite(small_config(seed=2))
         assert split.to_obj() == serial.to_obj()
         assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_a_refused_fork_is_tried_once(self):
+        serial, _, _ = self.reports(small_config(seed=2))
+        tries = []
+
+        def refuse():
+            tries.append(None)
+            raise BlockingIOError("no process to spare")
+
+        self.monkeypatch.setattr(os, "fork", refuse)
+        assert ed.run_law_suite(small_config(seed=2)).to_obj() \
+            == serial.to_obj()
+        assert len(tries) == 1
 
     def test_one_process_while_another_thread_runs(self):
         self.cpus(2)

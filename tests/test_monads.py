@@ -241,6 +241,31 @@ class TestLeq:
         with pytest.raises(ed.KindError):
             ed.leq(ed.unit(ed.MAYBE, "v"), ed.unit(ed.DIST, "v"))
 
+    @settings(max_examples=150, deadline=None)
+    @given(kinds(), st.data())
+    def test_partial_order(self, kind, data):
+        """Reflexive, antisymmetric and transitive, with bottom least and
+        every ``gen.weaken`` below its argument, over drawn values and two
+        weakenings in a chain below each."""
+        rng = data.draw(st.randoms(use_true_random=False))
+        values = data.draw(st.lists(values_for(kind), min_size=1, max_size=3))
+        bot = ed.bottom(kind)
+        pool = [bot, *values]
+        for nu in values:
+            for _ in range(2):
+                mu = gen.weaken(nu, rng)
+                assert ed.leq(mu, nu)
+                pool.append(mu)
+                nu = mu
+        for a in pool:
+            assert ed.leq(a, a) and ed.leq(bot, a)
+        for a, b in itertools.product(pool, repeat=2):
+            if ed.leq(a, b) and ed.leq(b, a):
+                assert a == b
+        for a, b, c in itertools.product(pool, repeat=3):
+            if ed.leq(a, b) and ed.leq(b, c):
+                assert ed.leq(a, c)
+
 
 class TestBottom:
     def test_values(self):
