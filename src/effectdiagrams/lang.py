@@ -24,7 +24,11 @@ first value, and that result is shared by the others: an n-fold ``;``
 chain costs n beta steps, not 2^(n+1) - 2.  Fuel is still charged per
 path, because the shared result was computed with the fuel that path
 has left.  Applying a syntactic value skips ``bind(unit(f), ...)`` by
-the monad left-unit law.
+the monad left-unit law.  An operation whose arguments are all values
+is its generic effect xi with index i relabelled to the i-th argument,
+the diagram ``[xi | v1 ... vn]``, built with no ``unit`` per argument;
+and ``op(v1, ..., vn) ; f`` binds xi itself, as ``bind(map(xi, g), k)
+== bind(xi, k . g)`` and the ``\_. f`` of ``;`` never reads its value.
 
 Terms are frozen ``Var``, ``Abs``, ``App`` and ``Op`` nodes, and their
 constructors are the only way they are built: by the parser, by
@@ -46,8 +50,8 @@ from typing import Mapping, Optional
 from .algebra import seq_compose
 # SignatureError is re-exported: parsing and evaluation raise it
 from .monads import (INSTANCES, ArityError, MonadKind, MonadValue,
-                     OpDescriptor, SignatureError, bind, bottom, op_apply,
-                     unit)
+                     OpDescriptor, SignatureError, bind, bottom, map_carrier,
+                     op_apply, op_effect, unit)
 from .presentations import Presentation, decompose
 
 
@@ -435,16 +439,25 @@ def _eval(t: Term, kind: MonadKind, fuel: int):
     if isinstance(t, (Var, Abs)):
         return unit(kind, t)
     if isinstance(t, App):
-        if is_value(t.fn):
-            # bind(unit(f), k) == k(f) by the left-unit law
-            return bind(_eval(t.arg, kind, fuel),
-                        _applying(t.fn, kind, fuel))
-        mf = _eval(t.fn, kind, fuel)
-        ma = _eval(t.arg, kind, fuel)
+        fn, arg = t.fn, t.arg
+        if is_value(fn):
+            # bind(unit(f), k) == k(f) by the left-unit law, and a k that
+            # ignores its value needs only the effect of an op on values
+            if isinstance(fn, Abs) and fn.param not in fn.body._fv and \
+                    isinstance(arg, Op) and all(map(is_value, arg.args)):
+                ma = op_effect(resolve_op(arg.op, kind))
+            else:
+                ma = _eval(arg, kind, fuel)
+            return bind(ma, _applying(fn, kind, fuel))
+        mf = _eval(fn, kind, fuel)
+        ma = _eval(arg, kind, fuel)
         return bind(mf, lambda vf: bind(ma, _applying(vf, kind, fuel)))
     if isinstance(t, Op):
         desc = resolve_op(t.op, kind)
-        return op_apply(desc, [_eval(a, kind, fuel) for a in t.args])
+        args = t.args
+        if all(map(is_value, args)):
+            return map_carrier(op_effect(desc), lambda i: args[i - 1])
+        return op_apply(desc, [_eval(a, kind, fuel) for a in args])
     raise EvalError(f"not a term: {t!r}")
 
 
@@ -454,15 +467,16 @@ def _applying(vf: Term, kind: MonadKind, fuel: int):
     When ``vf`` ignores its argument every value gives the same result,
     so the beta step is taken on the first value only and its result is
     returned for the rest.  Nothing runs before the first value, so a
-    bind with no values still never evaluates the body.
+    bind with no values still never evaluates the body.  The value is
+    never read, so it may be an effect's index; ``vf`` stands in for it.
     """
     if not (isinstance(vf, Abs) and vf.param not in vf.body._fv):
         return lambda va: _beta(vf, va, kind, fuel)
     shared = []
 
-    def ignoring(va):
+    def ignoring(_):
         if not shared:
-            shared.append(_beta(vf, va, kind, fuel))
+            shared.append(_beta(vf, vf, kind, fuel))
         return shared[0]
 
     return ignoring

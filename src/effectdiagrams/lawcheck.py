@@ -596,6 +596,8 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
     arguments, the entries of the function table that the check read,
     and both sides.
     """
+    if not isinstance(op, DerivedOperation):
+        raise TypeError(f"expected a DerivedOperation, got {op!r}")
     LawSuiteConfig(seed, trials, monads=(op.kind,))  # checks seed, trials
     domain = gen.LETTERS[:3]
     codomain = ("x", "y", "z")
@@ -631,11 +633,37 @@ def check_commutative(kind: MonadKind, trials: int = 50,
 def replay(law: str, kind: MonadKind, counterexample: Mapping) -> bool:
     """Re-run a stored counterexample; True means it still violates.
 
-    The witnesses of commutativity and absorption hold their whole case.
+    The witnesses of commutativity and absorption hold their whole case,
+    which is checked before the predicate runs: a ``kind`` that is not a
+    ``MonadKind``, a missing key, an effect that is not a
+    ``GenericEffect`` of ``kind`` or a grid that does not fit the effects
+    raises ``TypeError`` or ``ValueError``.
     """
     keys = {"commutativity": ("left_effect", "right_effect", "grid"),
             "absorption": ("effect",)}.get(law)
     if keys is None:
         raise ValueError(f"no replay support for law {law!r}")
+    if not isinstance(kind, MonadKind):
+        raise TypeError(f"expected a MonadKind, got {kind!r}")
+    if not isinstance(counterexample, Mapping):
+        raise TypeError(f"expected a mapping, got {counterexample!r}")
+    missing = [k for k in keys if k not in counterexample]
+    if missing:
+        raise ValueError(f"counterexample lacks {', '.join(missing)}")
+    case = [counterexample[k] for k in keys]
+    for key, eff in zip(keys, case):
+        if key == "grid":
+            continue
+        if not isinstance(eff, GenericEffect):
+            raise TypeError(f"{key} must be a GenericEffect, got {eff!r}")
+        if eff.kind != kind:
+            raise ValueError(f"{key} is a {eff.kind.tag} effect, "
+                             f"not a {kind.tag} one")
+    if law == "commutativity":
+        left, right, grid = case
+        if len(grid) != left.arity or \
+                any(len(row) != right.arity for row in grid):
+            raise ValueError("grid must have a row per left index and an "
+                             "entry per right index")
     violation = _LAWS[law][0]
-    return violation(kind, *[counterexample[k] for k in keys]) is not None
+    return violation(kind, *case) is not None

@@ -405,8 +405,15 @@ class Powerset(Instance):
     def bottom(self, kind):
         return frozenset()
 
+    def returns(self, payload):
+        # sorted, so that bind feeds the continuation in an order that
+        # does not depend on the hash seed
+        return sorted(payload, key=canonical_key)
+
+    support = returns
+
     def map(self, payload, g):
-        return frozenset(map(g, payload))
+        return frozenset(map(g, self.returns(payload)))
 
     def join(self, payload, outs):
         return frozenset().union(*outs)

@@ -24,6 +24,17 @@ def run(capsys, *argv):
     return code, captured.out.strip(), captured.err.strip()
 
 
+def run_fresh(argv, **env):
+    """Exit code, stdout and stderr of ``argv`` in a new interpreter."""
+    src = str(Path(ed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", **env,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "effectdiagrams.cli", *argv],
+                          capture_output=True, encoding="utf-8", env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestEval:
     def test_dist(self, capsys):
         code, out, _ = run(capsys, "eval", "-m", "dist", "-f", "10",
@@ -96,6 +107,15 @@ class TestEval:
     def test_bracket_entries_need_not_be_identifiers(self, capsys, argv,
                                                       text):
         assert run(capsys, "eval", *argv) == (0, text, "")
+
+    def test_stuck_set_names_the_same_element_under_every_hash_seed(self):
+        # bind feeds a set's elements in canonical order, not hash order
+        for seed in range(4):
+            assert run_fresh(["eval", "-m", "set", "-f", "0",
+                              "union(a, b) a"],
+                             PYTHONHASHSEED=str(seed)) == \
+                (1, "", "error: cannot apply a: "
+                        "free variables are inert symbols\n")
 
     def test_custom_prelude(self, capsys, tmp_path):
         path = tmp_path / "prelude.lam"
@@ -349,16 +369,7 @@ class TestParser:
         for argv in argvs:
             code = run_or_exit(argv)
             in_process.append((code, *capsys.readouterr()))
-        src = str(Path(ed.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONIOENCODING": "utf-8",
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        fresh = []
-        for argv in argvs:
-            done = subprocess.run(
-                [sys.executable, "-m", "effectdiagrams.cli", *argv],
-                capture_output=True, encoding="utf-8", env=env)
-            fresh.append((done.returncode, done.stdout, done.stderr))
+        fresh = [run_fresh(argv) for argv in argvs]
         assert [r[0] for r in in_process] == [0, 0, 0, 2, 0]
         assert in_process == fresh
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effectdiagrams as ed
-from effectdiagrams import lang, serialize
+from effectdiagrams import lang, lawcheck, serialize
 from effectdiagrams.lang import Abs, App, Op, Var
 
 import reference_eval
@@ -549,6 +549,51 @@ class TestSharing:
             assert repr(term) == repr(twin) == text
             assert term == twin and hash(term) == hash(twin)
             assert ed.free_vars(twin) == {"unrelated"}
+
+
+def _ops_on_values():
+    """Every signature operation of every instance at its command-line
+    default kind and a few more kinds, applied to every argument tuple
+    over ``a``, ``b`` and ``\\x. x``, such as ``choice(a, a)``,
+    ``union(a, a)``, ``read[l0](a, a)`` and ``raise[err]()``."""
+    kinds = (*lawcheck.default_kinds(), EXC, ed.state_kind(("l0",)),
+             ed.state_kind(("l0", "l1", "l2", "l3")), ed.output_kind("xy"))
+    values = (Var("a"), Var("b"), Abs("x", Var("x")))
+    return [(kind, Op(desc, args)) for kind in kinds
+            for desc in ed.signature(kind)
+            for args in itertools.product(values, repeat=desc.arity)]
+
+
+def _observed(mu):
+    payload = mu.payload
+    order = list(payload.items()) if hasattr(payload, "items") else None
+    return mu, order, serialize.render_value(mu)
+
+
+class TestOperationsOnValues:
+    """An operation whose arguments are values evaluates to its generic
+    effect relabelled by the arguments, and ``op ; v`` binds the generic
+    effect itself; both give what ``op_apply`` over units gives, in the
+    same payload order and text."""
+
+    @pytest.fixture(autouse=True)
+    def no_general_path(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("op_apply ran")
+        monkeypatch.setattr(lang, "op_apply", refused)
+
+    @pytest.mark.parametrize("fuel", (0, 3))
+    @pytest.mark.parametrize("kind, term", _ops_on_values(),
+                             ids=lambda x: str(x) if isinstance(x, Op)
+                             else x.tag)
+    def test_same_as_binding_units(self, kind, term, fuel):
+        desc = lang.resolve_op(term.op, kind)
+        applied = ed.op_apply(desc, [ed.unit(kind, a) for a in term.args])
+        assert _observed(ed.evaluate(term, kind, fuel)) == _observed(applied)
+        seq = App(Abs("_", Var("v")), term)
+        then = ed.unit(kind, Var("v")) if fuel else ed.bottom(kind)
+        assert _observed(ed.evaluate(seq, kind, fuel)) == \
+            _observed(ed.bind(applied, lambda _: then))
 
 
 def _subterms(term):

@@ -195,6 +195,49 @@ class TestCounterexamples:
         effect = ed.trivial_effect(ed.DIST)
         assert ed.replay("absorption", ed.DIST, {"effect": effect}) is False
 
+    @pytest.mark.parametrize("law, kind, witness, error, message", [
+        ("absorption", "maybe", {"effect": None}, TypeError,
+         "expected a MonadKind, got 'maybe'"),
+        ("absorption", ed.MAYBE, [None], TypeError, "expected a mapping"),
+        ("absorption", ed.MAYBE, {}, ValueError,
+         "counterexample lacks effect"),
+        ("commutativity", ed.MAYBE, {"grid": []}, ValueError,
+         "counterexample lacks left_effect, right_effect"),
+        ("absorption", ed.MAYBE, {"effect": None}, TypeError,
+         "effect must be a GenericEffect, got None"),
+        ("absorption", ed.MAYBE, {"effect": ed.trivial_effect(ed.DIST)},
+         ValueError, "effect is a dist effect, not a maybe one"),
+        ("commutativity", ed.DIST,
+         {"left_effect": ed.trivial_effect(ed.DIST),
+          "right_effect": ed.trivial_effect(ed.MAYBE), "grid": [["x"]]},
+         ValueError, "right_effect is a maybe effect, not a dist one"),
+        ("commutativity", ed.DIST,
+         {"left_effect": ed.trivial_effect(ed.DIST),
+          "right_effect": ed.trivial_effect(ed.DIST), "grid": [["x", "y"]]},
+         ValueError, "grid must have a row per left index"),
+        ("commutativity", ed.DIST,
+         {"left_effect": ed.trivial_effect(ed.DIST),
+          "right_effect": ed.trivial_effect(ed.DIST), "grid": []},
+         ValueError, "grid must have a row per left index"),
+    ], ids=["kind", "not-a-mapping", "missing", "missing-two", "not-effect",
+            "other-kind", "right-other-kind", "wide-grid", "short-grid"])
+    def test_replay_checks_its_inputs_first(self, monkeypatch, law, kind,
+                                            witness, error, message):
+        def never(*case):
+            raise AssertionError("the predicate ran")
+
+        monkeypatch.setitem(lawcheck._LAWS, law,
+                            (never, *lawcheck._LAWS[law][1:]))
+        with pytest.raises(error, match=re.escape(message)):
+            ed.replay(law, kind, witness)
+
+    @pytest.mark.parametrize("op", [
+        ed.signature(ed.POWERSET)[0], ed.trivial_effect(ed.POWERSET),
+        "union", None])
+    def test_check_algebraic_takes_a_derived_operation(self, op):
+        with pytest.raises(TypeError, match="expected a DerivedOperation"):
+            ed.check_algebraic(op)
+
 
 class TestLawCoverage:
     def test_every_law_runs_on_every_monad(self):
