@@ -12,9 +12,10 @@ above the cap or an unreadable file; 2 for a syntax error or bad
 command-line arguments; 3 for an operation that does not fit the chosen
 monad (``signature error``), or a bad kind or malformed machine JSON
 (``kind error``); 4 for a composition arity mismatch; 5 when evaluation,
-or the expansion of prelude names, nests too deeply for the recursion
-limit.  The parser keeps its own stack, so deep nesting alone parses.
-Each error is one line on stderr.
+the expansion of prelude names or a ``compose`` file's JSON (the error
+names the file) nests too deeply for the recursion limit.  The parser
+keeps its own stack, so deep nesting alone parses.  Each error is one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -73,7 +74,13 @@ def _cmd_compose(args) -> int:
     loaded = []
     for path in args.files:
         with open(path, encoding="utf-8") as handle:
-            loaded.append(presentations.from_obj(json.load(handle)))
+            try:
+                obj = json.load(handle)
+            except RecursionError:
+                print(f"error: recursion limit reached: {path} nests its "
+                      "JSON too deeply to read", file=sys.stderr)
+                return 5
+        loaded.append(presentations.from_obj(obj))
     result = seq_compose(loaded[0], loaded[1:])
     print(render(result, args.format))
     return 0

@@ -7,7 +7,7 @@ Concrete syntax::
     union(e, f)          powerset choice        choice(e, f)   fair coin
     raise[l]()           raise exception l      print[c](e)    print c, then e
     read[l](e0, e1)      branch on location l   write[l,b](e)  set l to bit b
-    e ; f                run e, discard its value, run f
+    e ; f                run e, discard its value, run f (f extends right)
     (e)                  grouping
     # ...                comment, to end of line
 
@@ -271,40 +271,31 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# frames of the parse stack: the whole program, a parenthesis, the body
-# of an abstraction (its data is the parameter), and the argument list
-# of an operation (its data is descriptor, offset and arguments)
-_PROGRAM, _GROUP, _BODY, _ARGS = range(4)
-
-
-def _sequence(parts: list) -> Term:
-    """``p1 ; p2 ; ... ; pn`` grouped to the right, each ``a ; b`` being
-    ``(\\_. b) a`` with ``_`` renamed away from the free names of ``b``."""
-    term = parts[-1]
-    for left in parts[-2::-1]:
-        taken = term._fv
-        ignored = "_" if "_" not in taken else _fresh("_", taken)
-        term = App(Abs(ignored, term), left)
-    return term
+# frames of the parse stack: the whole program, an argument list (its
+# data is descriptor, offset and arguments; a parenthesis is one with no
+# descriptor), the body of an abstraction (its data is the parameter),
+# and the part after ";" (its data is the term before it)
+_PROGRAM, _ARGS, _BODY, _SEQ = range(4)
 
 
 def _parse(src: str, kind: Optional[MonadKind]) -> Term:
     """One loop over the tokens with an explicit stack of open frames.
 
     ``fn`` is the application read so far in the innermost frame, or
-    ``None`` where a term must start, and ``parts`` holds the terms
-    before each ``;`` of that frame.  A token that neither starts an
-    atom nor is ``;`` ends the application and the sequence: it closes
-    every abstraction body open in the frame, then must be the frame's
-    ``)`` or ``,``, or the end of the program.  Index tokens occur only
-    between brackets, and only the index loop reads those, so elsewhere
-    a punctuation mark is known by its text alone.
+    ``None`` where a term must start.  A body and the part after ``;``
+    extend as far right as possible: a token that neither starts an atom
+    nor is ``;`` closes every body and every ``;`` still open, ``e ; f``
+    as ``(\\_. f) e`` with ``_`` renamed away from the free names of
+    ``f``, and must then be the ``)`` or ``,`` of an argument list (a
+    parenthesis takes no ``,``) or the end of the program.  Index tokens
+    occur only between brackets, and only the index loop reads those, so
+    elsewhere a punctuation mark is known by its text alone.
     """
     tokens = _tokenize(src)
     variables: dict = {}
     descriptors: dict = {}
     stack = []
-    frame, parts, fn, data = _PROGRAM, [], None, None
+    frame, fn, data = _PROGRAM, None, None
     i = 0
     while True:
         typ, text, pos = tokens[i]
@@ -340,8 +331,8 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                     raise ParseError(f"expected '(', found {paren!r}", ppos)
                 if tokens[i + 1][1] != ")":
                     i += 1
-                    stack.append((frame, parts, fn, data))
-                    frame, parts, fn, data = _ARGS, [], None, (desc, pos, [])
+                    stack.append((frame, fn, data))
+                    frame, fn, data = _ARGS, None, (desc, pos, [])
                     continue
                 i += 2
                 if desc.arity:
@@ -349,8 +340,8 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                         f"{text} expects {desc.arity} arguments, got 0", pos)
                 atom = Op(desc, ())
         elif text == "(":
-            stack.append((frame, parts, fn, data))
-            frame, parts, fn, data = _GROUP, [], None, None
+            stack.append((frame, fn, data))
+            frame, fn, data = _ARGS, None, (None, pos, [])
             continue
         elif text == "\\":
             vtyp, param, vpos = tokens[i]
@@ -360,46 +351,44 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
             if dot != ".":
                 raise ParseError(f"expected '.', found {dot!r}", dpos)
             i += 2
-            stack.append((frame, parts, fn, data))
-            frame, parts, fn, data = _BODY, [], None, param
+            stack.append((frame, fn, data))
+            frame, fn, data = _BODY, None, param
             continue
         elif fn is None:
             raise ParseError(f"expected a term, found {text or 'end'!r}", pos)
         elif text == ";":
-            parts.append(fn)
-            fn = None
+            stack.append((frame, None, data))
+            frame, fn, data = _SEQ, None, fn
             continue
         else:
-            while True:
-                if parts:
-                    parts.append(fn)
-                    fn = _sequence(parts)
-                if frame != _BODY:
-                    break
-                atom = Abs(data, fn)
-                frame, parts, fn, data = stack.pop()
+            while frame >= _BODY:
+                if frame == _BODY:
+                    atom = Abs(data, fn)
+                else:
+                    ignored = "_" if "_" not in fn._fv else _fresh("_", fn._fv)
+                    atom = App(Abs(ignored, fn), data)
+                frame, fn, data = stack.pop()
                 fn = atom if fn is None else App(fn, atom)
             if frame == _PROGRAM:
                 if typ != "eof":
                     raise ParseError(
                         f"trailing input starting at {text!r}", pos)
                 return fn
-            if frame == _ARGS:
-                desc, op_pos, args = data
-                args.append(fn)
-                if text == ",":
-                    parts, fn = [], None
-                    continue
+            desc, op_pos, args = data
+            args.append(fn)
+            if text == "," and desc:
+                fn = None
+                continue
             if text != ")":
                 raise ParseError(f"expected ')', found {text!r}", pos)
-            if frame == _GROUP:
+            if desc is None:
                 atom = fn
             elif len(args) != desc.arity:
                 raise ParseError(f"{desc.name} expects {desc.arity} "
                                  f"arguments, got {len(args)}", op_pos)
             else:
                 atom = Op(desc, args)
-            frame, parts, fn, data = stack.pop()
+            frame, fn, data = stack.pop()
         fn = atom if fn is None else App(fn, atom)
 
 

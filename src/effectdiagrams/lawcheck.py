@@ -10,7 +10,7 @@ entry when it is first read, and a witness copies the entries that were
 read.  ``_run`` feeds an entry to ``_search``, the one loop, which stops
 at the first violation and shrinks a drawn witness.  ``run_law_suite``,
 ``check_commutative``, ``check_algebraic`` (which adds an exhaustive
-flat prefix) and ``replay`` share the predicates, and every search
+small-scope prefix) and ``replay`` share the predicates, and every search
 yields a ``LawResult``, the one report type.
 
 The default instances are every entry of ``monads.INSTANCES`` at its
@@ -591,10 +591,12 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
                     seed: int = 0) -> LawResult:
     """Search for a violation of bind distributing over the operation.
 
-    Flat instances are checked exhaustively over small carriers; the
-    rest get seeded random trials.  A failure report carries the
-    arguments, the entries of the function table that the check read,
-    and both sides.
+    An operation of arity at most two is first checked on every case over
+    3-element carriers with at most 256 Kleisli tables: ``maybe`` and
+    ``exc`` with one or two labels, not ``set`` (512) or ``exc`` with
+    three or more (343 and up).  Then come ``trials`` seeded random
+    cases.  A failure report carries the arguments, the entries of the
+    function table that the check read, and both sides.
     """
     if not isinstance(op, DerivedOperation):
         raise TypeError(f"expected a DerivedOperation, got {op!r}")

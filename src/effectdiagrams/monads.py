@@ -407,8 +407,9 @@ class Powerset(Instance):
 
     def returns(self, payload):
         # sorted, so that bind feeds the continuation in an order that
-        # does not depend on the hash seed
-        return sorted(payload, key=canonical_key)
+        # does not depend on the hash seed; fewer than two need no sort
+        return (list(payload) if len(payload) < 2
+                else sorted(payload, key=canonical_key))
 
     support = returns
 

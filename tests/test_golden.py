@@ -2,8 +2,8 @@
 
 Each case runs ``effdiag`` in-process and compares the whole of stdout and
 the exit code with a literal; cases that exit with 2, 3, 4 or 5 also
-compare stderr.  ``{dir}`` in an argument stands for a temporary directory
-holding the presentation files in ``FILES``.
+compare stderr.  ``{dir}`` in an argument or in stderr stands for a
+temporary directory holding the presentation files in ``FILES``.
 """
 
 import pytest
@@ -41,6 +41,8 @@ FILES = {
         ('{"effect":{"arity":1,"body":{"kind":"state","locations":"l0","t'
          'able":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
 }
+# JSON nested past the recursion limit
+FILES['deep.json'] = '[' * 10 ** 5 + ']' * 10 ** 5 + '\n'
 # one-slot dist presentations whose probability breaks the "n"/"p/q" format
 FILES.update({
     name: ('{"effect":{"arity":1,"body":{"kind":"dist","entries":'
@@ -513,6 +515,10 @@ CASES = [
      3, '',
      ("kind error: bad serialized state value: locations 'l0' is not a l"
       "ist\n")),
+    (['compose', '{dir}/outer.json', '{dir}/deep.json'],
+     5, '',
+     ('error: recursion limit reached: {dir}/deep.json nests its JSON too '
+      'deeply to read\n')),
 ]
 
 
@@ -531,4 +537,4 @@ def test_golden(argv, code, stdout, stderr, workdir, capsys):
     out, err = capsys.readouterr()
     assert out == stdout
     if stderr is not None:
-        assert err == stderr
+        assert err == stderr.replace("{dir}", str(workdir))

@@ -735,6 +735,25 @@ class TestDeepInput:
             term = term.fn.body
         assert term == Var("v")
 
+    @pytest.mark.parametrize("left, right, outer", [
+        ("(", ")", None), ("union(", ", b)", Op), ("\\x. ", "", Abs),
+    ], ids=["parenthesis", "first-argument", "body"])
+    def test_sequence_chain_inside_a_frame(self, left, right, outer):
+        n = 10 ** 4
+        term = ed.parse(left + " ; ".join(["v"] * n) + right)
+        if outer is Op:
+            assert isinstance(term, Op) and term.op.name == "union"
+            assert term.args[1] == Var("b")
+            term = term.args[0]
+        elif outer is Abs:
+            assert isinstance(term, Abs) and term.param == "x"
+            term = term.body
+        for _ in range(n - 1):
+            assert isinstance(term, App) and term.arg == Var("v")
+            assert isinstance(term.fn, Abs) and term.fn.param == "_"
+            term = term.fn.body
+        assert term == Var("v")
+
     def test_nested_operations(self):
         n = 2 * 10 ** 4
         term = ed.parse("union(" * n + "a" + ", b)" * n)

@@ -292,6 +292,33 @@ class TestSmallScope:
         assert commutes == (kind.tag not in EXPECTED_FAIL["commutativity"])
 
 
+def _exhaustive_cases(kind):
+    """How many cases ``check_algebraic`` tries before its one drawn trial."""
+    op = ed.effect_to_op(ed.bottom_effect(kind, 1))
+    report = ed.check_algebraic(op, trials=1)
+    assert report.passed
+    return report.trials - 1
+
+
+class TestAlgebraicExhaustivePass:
+    """``check_algebraic`` tries every argument and Kleisli table over a
+    3-element domain and codomain only where the tables number at most
+    256; the cap is ``gen.enumerate_kleisli``'s."""
+
+    def test_default_kinds(self):
+        got = {kind.tag: _exhaustive_cases(kind)
+               for kind in lawcheck.default_kinds()}
+        # maybe: 4 values, 4 ** 3 tables; exc with one label: 5 and 5 ** 3;
+        # set: 8 ** 3 = 512 tables, above the cap
+        assert got == {"maybe": 4 * 4 ** 3, "exc": 5 * 5 ** 3, "set": 0,
+                       "dist": 0, "state": 0, "output": 0}
+
+    @pytest.mark.parametrize("labels, cases", [
+        (("e1", "e2"), 6 * 6 ** 3), (("e1", "e2", "e3"), 0)])
+    def test_exc_labels(self, labels, cases):
+        assert _exhaustive_cases(ed.MonadKind("exc", labels)) == cases
+
+
 def _dist_join_drops_last_branch(self, payload, outs):
     return _DIST_JOIN(self, dict(list(payload.items())[:-1]), outs)
 
