@@ -8,7 +8,8 @@ the options its handler reads (the README lists them).
 
 Programs are given literally or as ``@path``.  Exit codes: 0 on
 success; 1 for unmet law expectations, a stuck evaluation, an arity
-above the cap or an unreadable file; 2 for a syntax error or bad
+above the cap, an unreadable file or a ``compose`` file that is not
+UTF-8 JSON (the error names the file); 2 for a syntax error or bad
 command-line arguments; 3 for an operation that does not fit the chosen
 monad (``signature error``), or a bad kind or malformed machine JSON
 (``kind error``); 4 for a composition arity mismatch; 5 when evaluation,
@@ -80,6 +81,10 @@ def _cmd_compose(args) -> int:
                 print(f"error: recursion limit reached: {path} nests its "
                       "JSON too deeply to read", file=sys.stderr)
                 return 5
+            except ValueError as exc:
+                # not JSON, or not UTF-8
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return 1
         loaded.append(presentations.from_obj(obj))
     result = seq_compose(loaded[0], loaded[1:])
     print(render(result, args.format))

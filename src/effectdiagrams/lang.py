@@ -19,16 +19,25 @@ themselves as inert symbols; only applying one is an error.
 
 An abstraction whose parameter does not occur in its body, such as the
 ``\_. f`` that ``e ; f`` stands for, gives the same result for every
-value it is applied to, so its body is evaluated once per bind, on the
-first value, and that result is shared by the others: an n-fold ``;``
-chain costs n beta steps, not 2^(n+1) - 2.  Fuel is still charged per
-path, because the shared result was computed with the fuel that path
-has left.  Applying a syntactic value skips ``bind(unit(f), ...)`` by
-the monad left-unit law.  An operation whose arguments are all values
-is its generic effect xi with index i relabelled to the i-th argument,
-the diagram ``[xi | v1 ... vn]``, built with no ``unit`` per argument;
-and ``op(v1, ..., vn) ; f`` binds xi itself, as ``bind(map(xi, g), k)
-== bind(xi, k . g)`` and the ``\_. f`` of ``;`` never reads its value.
+value it is applied to, so it is bound through the instance's ``then``,
+``join(payload, [o, o, ...])`` for ``o = out()``: its body is evaluated
+at most once per bind, and not at all when nothing is returned, so an
+n-fold ``;`` chain costs n beta steps, not 2^(n+1) - 2.  Fuel is still
+charged per path, because the shared result was computed with the fuel
+that path has left.  Applying a syntactic value skips ``bind(unit(f),
+...)`` by the monad left-unit law.  An operation whose arguments are
+all values is its generic effect xi with index i relabelled to the i-th
+argument, the diagram ``[xi | v1 ... vn]``, built with no ``unit`` per
+argument.  Bind distributes over every operation (algebraicity), so
+``op(e1, ..., en) ; f`` is ``op(e1 ; f, ..., en ; f)``, with f
+evaluated at most once and only after every argument: a value argument
+gives f's result, an operation on values ``then``s its generic effect,
+whose relabelling ``;`` never reads, and any other argument ``then``s
+its value.  With every argument a value, that is xi ``then``ed itself.
+When no argument is a value or an operation on values, f runs only if
+the operation over the arguments returns a value, since a state
+argument may return values only at stores that the operation routes to
+another argument.
 
 Terms are frozen ``Var``, ``Abs``, ``App`` and ``Op`` nodes, and their
 constructors are the only way they are built: by the parser, by
@@ -50,8 +59,8 @@ from typing import Mapping, Optional
 from .algebra import seq_compose
 # SignatureError is re-exported: parsing and evaluation raise it
 from .monads import (INSTANCES, ArityError, MonadKind, MonadValue,
-                     OpDescriptor, SignatureError, bind, bottom, map_carrier,
-                     op_apply, op_effect, unit)
+                     OpDescriptor, SignatureError, _trusted, bind, bottom,
+                     map_carrier, op_apply, op_effect, unit)
 from .presentations import Presentation, decompose
 
 
@@ -429,46 +438,102 @@ def _eval(t: Term, kind: MonadKind, fuel: int):
         return unit(kind, t)
     if isinstance(t, App):
         fn, arg = t.fn, t.arg
-        if is_value(fn):
-            # bind(unit(f), k) == k(f) by the left-unit law, and a k that
-            # ignores its value needs only the effect of an op on values
-            if isinstance(fn, Abs) and fn.param not in fn.body._fv and \
-                    isinstance(arg, Op) and all(map(is_value, arg.args)):
-                ma = op_effect(resolve_op(arg.op, kind))
-            else:
-                ma = _eval(arg, kind, fuel)
-            return bind(ma, _applying(fn, kind, fuel))
-        mf = _eval(fn, kind, fuel)
-        ma = _eval(arg, kind, fuel)
-        return bind(mf, lambda vf: bind(ma, _applying(vf, kind, fuel)))
+        if not is_value(fn):
+            mf = _eval(fn, kind, fuel)
+            ma = _eval(arg, kind, fuel)
+            return bind(mf, _applying(ma, kind, fuel))
+        if not (isinstance(fn, Abs) and fn.param not in fn.body._fv):
+            # bind(unit(f), k) == k(f) by the left-unit law
+            return bind(_eval(arg, kind, fuel),
+                        lambda va: _beta(fn, va, kind, fuel))
+        if is_value(arg):
+            # then(unit(v), out) is out()
+            return _beta(fn, arg, kind, fuel)
+        if not isinstance(arg, Op):
+            return _then(_eval(arg, kind, fuel), fn, kind, fuel)
+        # op(e1, ..., en) ; f is op(e1 ; f, ..., en ; f) by algebraicity;
+        # taken here, not in a helper, so a ; chain costs fewer frames
+        inst = INSTANCES[kind.tag]
+        out = _once(fn, inst, kind, fuel)
+        desc = resolve_op(arg.op, kind)
+        effect = inst.effect(kind, desc.name, desc.index)
+        if _on_values(arg):
+            return _trusted(kind, inst.then(effect, out))
+        args = arg.args
+        # every argument is evaluated before f, so it fails first
+        ms = [_then_input(a, inst, kind, fuel) for a in args]
+        if not any(m is None or _on_values(a) for a, m in zip(args, ms)):
+            # bind reaches f through any value or operation on values, as
+            # a generic effect returns every index; other arguments may
+            # return values only where the operation routes elsewhere, as
+            # a state table can, and then f must not run: it may fail
+            whole = inst.join(effect, ms)
+            if not inst.returns(whole):
+                return _trusted(kind, whole)
+        outs = []
+        for m in ms:
+            # a loop, not a comprehension, so f runs one frame shallower
+            outs.append(out() if m is None else inst.then(m, out))
+        return _trusted(kind, inst.join(effect, outs))
     if isinstance(t, Op):
         desc = resolve_op(t.op, kind)
         args = t.args
-        if all(map(is_value, args)):
+        if _on_values(t):
             return map_carrier(op_effect(desc), lambda i: args[i - 1])
         return op_apply(desc, [_eval(a, kind, fuel) for a in args])
     raise EvalError(f"not a term: {t!r}")
 
 
-def _applying(vf: Term, kind: MonadKind, fuel: int):
-    """The bind continuation that applies ``vf`` to each value it gets.
+def _then_input(t: Term, inst, kind: MonadKind, fuel: int):
+    """What ``then`` needs of an argument of ``op(...) ; f``: ``None`` for
+    a value, whose ``e ; f`` is f's result, the generic effect of an
+    operation on values, whose relabelling ``then`` never reads, and the
+    payload of any other argument."""
+    if is_value(t):
+        return None
+    if _on_values(t):
+        desc = resolve_op(t.op, kind)
+        return inst.effect(kind, desc.name, desc.index)
+    return _eval(t, kind, fuel).payload
 
-    When ``vf`` ignores its argument every value gives the same result,
-    so the beta step is taken on the first value only and its result is
-    returned for the rest.  Nothing runs before the first value, so a
-    bind with no values still never evaluates the body.  The value is
-    never read, so it may be an effect's index; ``vf`` stands in for it.
-    """
-    if not (isinstance(vf, Abs) and vf.param not in vf.body._fv):
-        return lambda va: _beta(vf, va, kind, fuel)
+
+def _on_values(t: Term) -> bool:
+    return isinstance(t, Op) and all(map(is_value, t.args))
+
+
+def _applying(ma: MonadValue, kind: MonadKind, fuel: int):
+    """The bind continuation that applies each function value to ``ma``."""
+    def apply(vf):
+        if isinstance(vf, Abs) and vf.param not in vf.body._fv:
+            return _then(ma, vf, kind, fuel)
+        return bind(ma, lambda va: _beta(vf, va, kind, fuel))
+
+    return apply
+
+
+def _then(ma: MonadValue, vf: Abs, kind: MonadKind, fuel: int):
+    """``bind(ma, va -> vf va)`` for a ``vf`` that ignores its argument,
+    so gives the same result for every value: through ``then``, which
+    evaluates the body at most once and never when ``ma`` returns
+    nothing."""
+    inst = INSTANCES[kind.tag]
+    return _trusted(kind, inst.then(ma.payload, _once(vf, inst, kind, fuel)))
+
+
+def _once(vf: Abs, inst, kind: MonadKind, fuel: int):
+    """The ``out`` of ``then`` for a ``vf`` that ignores its argument: the
+    payload of its body, evaluated on the first call and shared after.
+    The beta step is ``_beta``'s, taken in this frame; fuel is still
+    charged per path, as the body is evaluated with the fuel left here."""
     shared = []
 
-    def ignoring(_):
+    def out():
         if not shared:
-            shared.append(_beta(vf, vf, kind, fuel))
+            shared.append(inst.bottom(kind) if fuel == 0 else _eval(
+                substitute(vf.body, vf.param, vf), kind, fuel - 1).payload)
         return shared[0]
 
-    return ignoring
+    return out
 
 
 def _beta(vf: Term, va: Term, kind: MonadKind, fuel: int):

@@ -259,6 +259,13 @@ class Instance:
         """
         return payload
 
+    def then(self, payload, out: Callable[[], Any]):
+        """``join(payload, [o, o, ...])`` for ``o = out()``, one ``o`` per
+        returned element: bind with a continuation that ignores its value.
+        Calls ``out`` at most once, and never when nothing is returned."""
+        returned = list(self.returns(payload))
+        return self.join(payload, [out()] * len(returned) if returned else [])
+
     def support(self, payload) -> list:
         return sorted(self.returns(payload), key=canonical_key)
 
@@ -419,6 +426,9 @@ class Powerset(Instance):
     def join(self, payload, outs):
         return frozenset().union(*outs)
 
+    def then(self, payload, out):
+        return out() if payload else payload
+
     def leq(self, a, b):
         return a <= b
 
@@ -542,6 +552,17 @@ class Dist(Instance):
                         n, d = n * (lcd // d) + m * (lcd // e), lcd
                 acc[y] = (n, d)
         return {y: Fraction(n, d) for y, (n, d) in acc.items()}
+
+    def then(self, payload, out):
+        # every result is out's, so the join is it scaled by the mass
+        if not payload:
+            return payload
+        n, d = _sum(list(payload.values()))
+        o = out()
+        if n == d:
+            return o
+        return {y: Fraction(n * q.numerator, d * q.denominator)
+                for y, q in o.items()}
 
     def leq(self, a, b):
         return all(p <= b.get(x, 0) for x, p in a.items())
@@ -683,6 +704,20 @@ class State(Instance):
                 if out is None:
                     out = results[x] = following()
                 table[s] = out[nxt]
+            else:
+                table[s] = DIVERGE
+        return table
+
+    def then(self, payload, out):
+        # join's walk with one result for every returned element, so no
+        # element is read or hashed
+        o = None
+        table = {}
+        for s, c in payload.items():
+            if isinstance(c, Present):
+                if o is None:
+                    o = out()
+                table[s] = o[c.value[1]]
             else:
                 table[s] = DIVERGE
         return table

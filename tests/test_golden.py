@@ -1,9 +1,10 @@
 """Golden lock on the command line: exact stdout, exit codes and error text.
 
 Each case runs ``effdiag`` in-process and compares the whole of stdout and
-the exit code with a literal; cases that exit with 2, 3, 4 or 5 also
-compare stderr.  ``{dir}`` in an argument or in stderr stands for a
-temporary directory holding the presentation files in ``FILES``.
+the exit code with a literal; cases that exit with 2, 3, 4 or 5, and
+those that give a file that is not UTF-8 JSON, also compare stderr.
+``{dir}`` in an argument or in stderr stands for a temporary directory
+holding the files in ``FILES``, written as UTF-8 unless given as bytes.
 """
 
 import pytest
@@ -41,6 +42,9 @@ FILES = {
         ('{"effect":{"arity":1,"body":{"kind":"state","locations":"l0","t'
          'able":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
 }
+# text that is not JSON, and JSON text that is not UTF-8
+FILES['not-json.json'] = 'nope\n'
+FILES['latin-1.json'] = '{"row": ["café"]}\n'.encode('latin-1')
 # JSON nested past the recursion limit
 FILES['deep.json'] = '[' * 10 ** 5 + ']' * 10 ** 5 + '\n'
 # one-slot dist presentations whose probability breaks the "n"/"p/q" format
@@ -519,13 +523,23 @@ CASES = [
      5, '',
      ('error: recursion limit reached: {dir}/deep.json nests its JSON too '
       'deeply to read\n')),
+    (['compose', '{dir}/outer.json', '{dir}/not-json.json'],
+     1, '',
+     'error: {dir}/not-json.json: Expecting value: line 1 column 1 (char 0)\n'),
+    (['compose', '{dir}/outer.json', '{dir}/latin-1.json'],
+     1, '',
+     ("error: {dir}/latin-1.json: 'utf-8' codec can't decode byte 0xe9 in "
+      "position 13: invalid continuation byte\n")),
 ]
 
 
 @pytest.fixture
 def workdir(tmp_path):
     for name, text in FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text, encoding="utf-8")
     return tmp_path
 
 

@@ -17,7 +17,8 @@ from effectdiagrams.lang import Abs, App, Op, Var
 
 import reference_eval
 import reference_parse
-from strategies import ALL_KINDS, BINDERS, EXC, OUTPUT, STATE, programs
+from strategies import (ALL_KINDS, BINDERS, EXC, OMEGA, OUTPUT, STATE,
+                        programs)
 
 DEFS = ed.default_defs()
 
@@ -594,6 +595,89 @@ class TestOperationsOnValues:
         then = ed.unit(kind, Var("v")) if fuel else ed.bottom(kind)
         assert _observed(ed.evaluate(seq, kind, fuel)) == \
             _observed(ed.bind(applied, lambda _: then))
+
+
+_SEQUENCED_KINDS = (*lawcheck.default_kinds(), EXC, ed.state_kind(("l0",)),
+                    ed.state_kind(("l0", "l1", "l2", "l3")),
+                    ed.output_kind("xy"))
+
+
+def _argument_pool(kind):
+    """``a``, ``\\x. x``, two operations on values, a stuck ``(c d)``, a
+    nested operation and two operations with a divergent argument, such as
+    ``read[l0](a, b)``, ``write[l1,1](b)``, ``read[l0](write[l1,1](a), b)``,
+    ``read[l0](OMEGA, a)`` and ``read[l0](c, OMEGA)``."""
+    a, b, c, d = map(Var, "abcd")
+    ops = ed.signature(kind)
+    first, last = ops[0], ops[-1]
+
+    def on(desc, *args):
+        return Op(desc, (args * desc.arity)[:desc.arity])
+
+    return list(dict.fromkeys([
+        a, Abs("x", Var("x")), on(first, a, b), on(last, b), App(c, d),
+        on(first, on(last, a), b), on(first, OMEGA, a),
+        on(first, c, OMEGA)]))
+
+
+def _observed_or_stuck(evaluate, term, kind, fuel):
+    try:
+        mu = evaluate(term, kind, fuel)
+    except ed.EvalError as exc:
+        return "stuck", str(exc)
+    return _observed(mu)
+
+
+class TestSequencedOperations:
+    """``op(e1, ..., en) ; f`` is ``op(e1 ; f, ..., en ; f)`` with ``f``
+    evaluated at most once, after every argument: the same value, payload
+    order, text and stuck message as the evaluator that shares nothing,
+    with one beta step for the ``;`` when the operation returns a value,
+    and none otherwise."""
+
+    @pytest.mark.parametrize("kind, desc", [
+        (kind, desc) for kind in _SEQUENCED_KINDS
+        for desc in ed.signature(kind)],
+        ids=lambda x: f"{x.tag}-{len(x.params)}" if isinstance(
+            x, ed.MonadKind) else str(Op(x, [Var("e")] * x.arity)))
+    def test_same_as_reference(self, monkeypatch, kind, desc):
+        terms = [Op(desc, args) for args in itertools.product(
+            _argument_pool(kind), repeat=desc.arity)]
+        steps = []
+        real = lang.substitute
+
+        def counting(*args):
+            steps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lang, "substitute", counting)
+        for term, f, fuel in itertools.product(
+                terms, (Var("v"), App(Var("x"), Var("x")), OMEGA), range(4)):
+            seq = App(Abs("_", f), term)
+            case = f"{seq} at fuel {fuel}"
+            assert _observed_or_stuck(ed.evaluate, seq, kind, fuel) == \
+                _observed_or_stuck(reference_eval.evaluate, seq, kind,
+                                   fuel), case
+            seq_steps = len(steps)
+            del steps[:]
+            alone = _outcome(ed.evaluate, term, kind, fuel)
+            reached = alone[0] != "stuck" and ed.support(alone[0])
+            f_steps = fuel if f is OMEGA else 1
+            assert seq_steps == len(steps) + f_steps * bool(
+                reached and fuel), case
+            del steps[:]
+
+    def test_f_fails_only_where_the_operation_reaches_it(self):
+        # each inner read returns a value only at the stores where the
+        # outer read takes the other branch, so x x is never reached
+        kind = ed.state_kind(("l0",))
+        src = "read[l0](read[l0](OMEGA, b), read[l0](c, OMEGA)) ; x x"
+        assert ev(src, kind, fuel=3) == ed.bottom(kind)
+        with pytest.raises(ed.EvalError, match="cannot apply x"):
+            ev("read[l0](read[l0](b, OMEGA), read[l0](c, OMEGA)) ; x x",
+               kind, fuel=3)
+        with pytest.raises(ed.EvalError, match="cannot apply c"):
+            ev("union(a, (c d)) ; x x", ed.POWERSET)
 
 
 def _subterms(term):

@@ -135,6 +135,55 @@ class TestMapCarrier:
             ed.map_carrier(mu, lambda x: h(g(x)))
 
 
+def _check_then(kind, mu, nu):
+    """``then`` and the ``Instance`` default against ``join`` over one
+    ``nu`` per returned element: the same value in the same order, with
+    ``out`` called once, or never when nothing is returned."""
+    inst = ed.monads.INSTANCES[kind.tag]
+    returned = list(inst.returns(mu.payload))
+    want = ed.monads._trusted(
+        kind, inst.join(mu.payload, [nu.payload] * len(returned)))
+    for then in (inst.then, ed.monads.Instance.then.__get__(inst)):
+        calls = []
+        got = ed.monads._trusted(kind, then(
+            mu.payload, lambda: calls.append(1) or nu.payload))
+        assert got == want
+        if hasattr(want.payload, "items"):
+            assert list(got.payload.items()) == list(want.payload.items())
+        assert len(calls) == (1 if returned else 0)
+
+
+class TestThen:
+    @given(kinds().flatmap(lambda k: st.tuples(
+        st.just(k), values_for(k), values_for(k))))
+    @settings(max_examples=300)
+    def test_join_of_one_result_for_every_element(self, kvv):
+        _check_then(*kvv)
+
+    @pytest.mark.parametrize("kind", (
+        *ALL_KINDS, ed.state_kind(("l0",)),
+        ed.state_kind(("l0", "l1", "l2", "l3")), ed.output_kind("xy")),
+        ids=lambda k: f"{k.tag}-{len(k.params)}")
+    def test_generated_values_and_edges(self, kind):
+        rng = random.Random(f"then:{kind}")
+        draws = [gen.random_value(kind, rng, CARRIER) for _ in range(200)]
+        # empty payloads, and cells or mass that return nothing
+        edges = [ed.bottom(kind), gen.random_value(kind, rng, ())]
+        for mu in draws + edges:
+            for nu in (rng.choice(draws), ed.bottom(kind)):
+                _check_then(kind, mu, nu)
+
+    def test_dist_below_mass_one_scales_and_at_one_hands_back(self):
+        half = dist({"a": F(1, 3), "b": F(1, 6)})
+        nu = dist({"x": F(1, 4), "y": F(3, 4)})
+        then = ed.monads.INSTANCES["dist"].then
+        assert then(half.payload, lambda: nu.payload) == \
+            {"x": F(1, 8), "y": F(3, 8)}
+        whole = dist({"a": F(1, 3), "b": F(2, 3)})
+        assert then(whole.payload, lambda: nu.payload) is nu.payload
+        _check_then(ed.DIST, half, nu)
+
+
 class TestOpApply:
     def test_choice_is_fair_mixture(self):
         choice = ed.signature(ed.DIST)[0]
