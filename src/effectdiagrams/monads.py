@@ -329,6 +329,11 @@ class Maybe(Instance):
         return {"bottom": True}
 
     def from_obj(self, kind, obj):
+        shapes = [key for key in ("value", "raised") if key in obj]
+        if obj.get("bottom"):
+            shapes.append("bottom")
+        if len(shapes) > 1:
+            raise ValueError(f"{' and '.join(shapes)} given together")
         if obj.get("bottom"):
             return DIVERGE
         if "raised" in obj:
@@ -575,8 +580,12 @@ class Dist(Instance):
                             for x in self.support(payload)]}
 
     def from_obj(self, kind, obj):
-        return {value_from_obj(x): _probability_from_obj(p)
-                for x, p in obj["entries"]}
+        entries = obj["entries"]
+        payload = {value_from_obj(x): _probability_from_obj(p)
+                   for x, p in entries}
+        if len(payload) != len(entries):
+            raise ValueError("entries list an element twice")
+        return payload
 
     def render(self, payload):
         return "{" + ", ".join(f"{x}: {payload[x]}"
@@ -618,8 +627,10 @@ def _state_effect(width: int, i: int, bit: Optional[int]) -> Mapping:
         for s in _stores(width)})
 
 
-def _bits(store) -> str:
-    return "".join(str(b) for b in store)
+@lru_cache(maxsize=None)
+def _bits(width: int) -> Mapping:
+    """Each store of ``_stores(width)``, in order, to its bit string."""
+    return MappingProxyType({s: "".join(map(str, s)) for s in _stores(width)})
 
 
 def _store_from_str(text: str, width: int):
@@ -746,15 +757,17 @@ class State(Instance):
         return MonadKind(self.tag, (index if name == "read" else index[0],))
 
     def to_obj(self, payload):
+        bits = _bits(len(next(iter(payload))))
         return {"table": [
-            [_bits(s), [value_to_obj(c.value[0]), _bits(c.value[1])]
+            [bits[s], [value_to_obj(c.value[0]), bits[c.value[1]]]
              if isinstance(c, Present) else None]
             for s, c in sorted(payload.items())]}
 
     def from_obj(self, kind, obj):
         width = len(kind.params)
+        rows = obj["table"]
         table = {}
-        for store_s, cell in obj["table"]:
+        for store_s, cell in rows:
             store = _store_from_str(store_s, width)
             if cell is None:
                 table[store] = DIVERGE
@@ -762,12 +775,15 @@ class State(Instance):
                 x, nxt = cell
                 table[store] = Present(
                     (value_from_obj(x), _store_from_str(nxt, width)))
+        if len(table) != len(rows):
+            raise ValueError("table lists a store twice")
         return table
 
     def _cells(self, payload, arrow, sep, comma):
+        bits = _bits(len(next(iter(payload))))
         return sep.join(
-            f"{_bits(s)}{arrow}({c.value[0]}{comma}{_bits(c.value[1])})"
-            if isinstance(c, Present) else f"{_bits(s)}{arrow}↑"
+            f"{bits[s]}{arrow}({c.value[0]}{comma}{bits[c.value[1]]})"
+            if isinstance(c, Present) else f"{bits[s]}{arrow}↑"
             for s, c in sorted(payload.items()))
 
     def render(self, payload):

@@ -3,10 +3,7 @@
 import argparse
 import gc
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +12,7 @@ import effectdiagrams as ed
 from effectdiagrams import cli, monads, presentations
 from effectdiagrams.cli import build_parser, main
 
+from fresh import run_fresh
 from test_golden import workdir  # noqa: F401 (the golden files fixture)
 
 
@@ -22,17 +20,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.strip(), captured.err.strip()
-
-
-def run_fresh(argv, **env):
-    """Exit code, stdout and stderr of ``argv`` in a new interpreter."""
-    src = str(Path(ed.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8", **env,
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "effectdiagrams.cli", *argv],
-                          capture_output=True, encoding="utf-8", env=env)
-    return done.returncode, done.stdout, done.stderr
 
 
 class TestEval:

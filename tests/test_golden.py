@@ -1,15 +1,22 @@
 """Golden lock on the command line: exact stdout, exit codes and error text.
 
-Each case runs ``effdiag`` in-process and compares the whole of stdout and
-the exit code with a literal; cases that exit with 2, 3, 4 or 5, and
-those that give a file that is not UTF-8 JSON, also compare stderr.
-``{dir}`` in an argument or in stderr stands for a temporary directory
-holding the files in ``FILES``, written as UTF-8 unless given as bytes.
+``CASES`` is the one table of CLI outputs: a new pin is appended to it,
+so every case keeps its id.  Each case runs twice, through ``main`` in
+this process (``test_golden``) and as ``python -m effectdiagrams.cli`` in
+a fresh interpreter (``test_golden_fresh``), which also sees faults at
+import time, in the entry point and in ``sys.exit``.  Both compare the
+exit code and the whole of stdout with literals, and stderr wherever a
+case gives it (every case that exits with 2, 3, 4 or 5, and some that
+exit with 0 or 1).  ``{dir}`` in an argument or in stderr stands for a
+temporary directory holding the files in ``FILES``, written as UTF-8
+unless given as bytes.
 """
 
 import pytest
 
 from effectdiagrams.cli import main
+
+from fresh import run_fresh
 
 FILES = {
     'outer.json':
@@ -56,6 +63,32 @@ FILES.update({
                        ('padded-prob.json', '" 2/4 "'),
                        ('exponent-prob.json', '"1e-1"'),
                        ('zero-denominator.json', '"1/0"'))})
+FILES.update({
+    # a second outer effect, a float probability beside a "p/q" one, and
+    # an effect body returning an index above its arity
+    'thirds.json':
+        ('{"effect":{"arity":2,"body":{"kind":"dist","entries":[[1,"1/'
+         '3"],[2,"2/3"]]}},"row":["v","w"]}\n'),
+    'float-entry.json':
+        ('{"effect":{"arity":2,"body":{"kind":"dist","entries":[[1,0.75'
+         '],[2,"1/4"]]}},"row":["a","b"]}\n'),
+    'wide.json':
+        ('{"effect":{"arity":1,"body":{"kind":"dist","entries":[[2,"1/'
+         '2"]]}},"row":["v"]}\n'),
+    # machine JSON that lists one element, or one store, twice
+    'dup-entries.json':
+        ('{"effect":{"arity":1,"body":{"kind":"dist","entries":[[1,"1/'
+         '2"],[1,"1/2"]]}},"row":["w"]}\n'),
+    'dup-store.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":["l0'
+         '"],"table":[["0",[1,"0"]],["0",[1,"1"]],["1",[1,"1"]]]}},"ro'
+         'w":["c"]}\n'),
+    'one-state.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":["l0'
+         '"],"table":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
+    # a program too long for one argv string, which Linux caps at 128 KiB
+    'deep-program.txt': '(' * 10 ** 5 + 'v' + ')' * 10 ** 5,
+})
 
 
 def _bad_probability(shown):
@@ -530,6 +563,208 @@ CASES = [
      1, '',
      ("error: {dir}/latin-1.json: 'utf-8' codec can't decode byte 0xe9 in "
       "position 13: invalid continuation byte\n")),
+    (['eval', '-m', 'exc', '--exceptions', 'e1,e2', 'raise[e2]()'],
+     0, 'raise e2\n',
+     None),
+    # the prelude is parsed when the package is imported
+    (['eval', '-m', 'output', '--alphabet', 'ab', '-f', '20',
+      'three (\\x. print[a](x)) v'],
+     0, '("aaa", v)\n',
+     None),
+    # an operation on values, alone or before ";", binds its generic
+    # effect directly
+    (['eval', '-m', 'dist', 'choice(v, v) ; w'],
+     0, '{w: 1}\n',
+     None),
+    (['eval', '-m', 'state', '--locations', 'l0,l1',
+      'read[l0](v, w) ; write[l1,1](v)'],
+     0, '{00 ↦ (v, 01), 01 ↦ (v, 01), 10 ↦ (v, 11), 11 ↦ (v, 11)}\n',
+     None),
+    # op(e1, ..., en) ; f is op(e1 ; f, ..., en ; f), with f run at most
+    # once and only after every argument
+    (['eval', '-m', 'state', '--locations', 'l0,l1', '-f', '10',
+      'read[l0](write[l1,1](v), w) ; read[l1](w, write[l0,0](v))'],
+     0, '{00 ↦ (v, 01), 01 ↦ (v, 01), 10 ↦ (w, 10), 11 ↦ (v, 01)}\n',
+     None),
+    (['eval', '-m', 'dist', '-f', '10', 'choice(choice(a, OMEGA), c) ; v'],
+     0, '{v: 3/4}\n',
+     None),
+    (['eval', '-m', 'set', '-f', '10', 'union(a, (b c)) ; (d e)'],
+     1, '',
+     'error: cannot apply b: free variables are inert symbols\n'),
+    (['diagram', '-m', 'output', '--alphabet', 'ab', 'print[a](v)'],
+     0, '[(a,1) ‖ 1→v]\n',
+     None),
+    (['laws', '--seed', '3', '--trials', '5'],
+     0, ('law            monad   result  expected\n'
+      'kleisli        maybe   pass    pass\n'
+      'kleisli        exc     pass    pass\n'
+      'kleisli        set     pass    pass\n'
+      'kleisli        dist    pass    pass\n'
+      'kleisli        state   pass    pass\n'
+      'kleisli        output  pass    pass\n'
+      'algebraicity   maybe   pass    pass\n'
+      'algebraicity   exc     pass    pass\n'
+      'algebraicity   set     pass    pass\n'
+      'algebraicity   dist    pass    pass\n'
+      'algebraicity   state   pass    pass\n'
+      'algebraicity   output  pass    pass\n'
+      'unit           maybe   pass    pass\n'
+      'unit           exc     pass    pass\n'
+      'unit           set     pass    pass\n'
+      'unit           dist    pass    pass\n'
+      'unit           state   pass    pass\n'
+      'unit           output  pass    pass\n'
+      'associativity  maybe   pass    pass\n'
+      'associativity  exc     pass    pass\n'
+      'associativity  set     pass    pass\n'
+      'associativity  dist    pass    pass\n'
+      'associativity  state   pass    pass\n'
+      'associativity  output  pass    pass\n'
+      'composition    maybe   pass    pass\n'
+      'composition    exc     pass    pass\n'
+      'composition    set     pass    pass\n'
+      'composition    dist    pass    pass\n'
+      'composition    state   pass    pass\n'
+      'composition    output  pass    pass\n'
+      'binding        maybe   pass    pass\n'
+      'binding        exc     pass    pass\n'
+      'binding        set     pass    pass\n'
+      'binding        dist    pass    pass\n'
+      'binding        state   pass    pass\n'
+      'binding        output  pass    pass\n'
+      'congruence     maybe   pass    pass\n'
+      'congruence     exc     pass    pass\n'
+      'congruence     set     pass    pass\n'
+      'congruence     dist    pass    pass\n'
+      'congruence     state   pass    pass\n'
+      'congruence     output  pass    pass\n'
+      'monotonicity   maybe   pass    pass\n'
+      'monotonicity   exc     pass    pass\n'
+      'monotonicity   set     pass    pass\n'
+      'monotonicity   dist    pass    pass\n'
+      'monotonicity   state   pass    pass\n'
+      'monotonicity   output  pass    pass\n'
+      'bottom         maybe   pass    pass\n'
+      'bottom         exc     pass    pass\n'
+      'bottom         set     pass    pass\n'
+      'bottom         dist    pass    pass\n'
+      'bottom         state   pass    pass\n'
+      'bottom         output  pass    pass\n'
+      'absorption     maybe   pass    pass\n'
+      'absorption     exc     fail    fail\n'
+      '    counterexample: {"effect": {"arity": 0, "body": {"kind":'
+      ' "exc", "exceptions": ["err"], "raised": "err"}}, "got": {"k'
+      'ind": "exc", "exceptions": ["err"], "raised": "err"}}\n'
+      'absorption     set     pass    pass\n'
+      'absorption     dist    pass    pass\n'
+      'absorption     state   pass    pass\n'
+      'absorption     output  fail    fail\n'
+      '    counterexample: {"effect": {"arity": 1, "body": {"kind":'
+      ' "output", "alphabet": ["a", "b"], "out": "a", "value": 1}},'
+      ' "got": {"kind": "output", "alphabet": ["a", "b"], "out":...'
+      '\n'
+      'commutativity  maybe   pass    pass\n'
+      'commutativity  exc     fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 0, "body": {"k'
+      'ind": "exc", "exceptions": ["err"], "raised": "err"}}, "righ'
+      't_effect": {"arity": 0, "body": {"kind": "exc", "exceptio...'
+      '\n'
+      'commutativity  set     pass    pass\n'
+      'commutativity  dist    pass    pass\n'
+      'commutativity  state   fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 2, "body": {"k'
+      'ind": "state", "locations": ["l0", "l1"], "table": [["00", ['
+      '1, "00"]], ["01", [1, "01"]], ["10", [2, "10"]], ["11", [...'
+      '\n'
+      'commutativity  output  fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 1, "body": {"k'
+      'ind": "output", "alphabet": ["a", "b"], "out": "a", "value":'
+      ' 1}}, "right_effect": {"arity": 1, "body": {"kind": "outp...'
+      '\n'
+      'expectations met (seed=3)\n'),
+     None),
+    # the kind options come from the instance registry
+    (['laws', '--monads', 'exc,state,output', '--exceptions', 'e1,e2',
+      '--locations', 'l0', '--alphabet', 'abc', '--seed', '3', '--trials',
+      '5'],
+     0, ('law            monad   result  expected\n'
+      'kleisli        exc     pass    pass\n'
+      'kleisli        state   pass    pass\n'
+      'kleisli        output  pass    pass\n'
+      'algebraicity   exc     pass    pass\n'
+      'algebraicity   state   pass    pass\n'
+      'algebraicity   output  pass    pass\n'
+      'unit           exc     pass    pass\n'
+      'unit           state   pass    pass\n'
+      'unit           output  pass    pass\n'
+      'associativity  exc     pass    pass\n'
+      'associativity  state   pass    pass\n'
+      'associativity  output  pass    pass\n'
+      'composition    exc     pass    pass\n'
+      'composition    state   pass    pass\n'
+      'composition    output  pass    pass\n'
+      'binding        exc     pass    pass\n'
+      'binding        state   pass    pass\n'
+      'binding        output  pass    pass\n'
+      'congruence     exc     pass    pass\n'
+      'congruence     state   pass    pass\n'
+      'congruence     output  pass    pass\n'
+      'monotonicity   exc     pass    pass\n'
+      'monotonicity   state   pass    pass\n'
+      'monotonicity   output  pass    pass\n'
+      'bottom         exc     pass    pass\n'
+      'bottom         state   pass    pass\n'
+      'bottom         output  pass    pass\n'
+      'absorption     exc     fail    fail\n'
+      '    counterexample: {"effect": {"arity": 0, "body": {"kind":'
+      ' "exc", "exceptions": ["e1", "e2"], "raised": "e1"}}, "got":'
+      ' {"kind": "exc", "exceptions": ["e1", "e2"], "raised": "e...'
+      '\n'
+      'absorption     state   pass    pass\n'
+      'absorption     output  fail    fail\n'
+      '    counterexample: {"effect": {"arity": 1, "body": {"kind":'
+      ' "output", "alphabet": ["a", "b", "c"], "out": "a", "value":'
+      ' 1}}, "got": {"kind": "output", "alphabet": ["a", "b", "c...'
+      '\n'
+      'commutativity  exc     fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 0, "body": {"k'
+      'ind": "exc", "exceptions": ["e1", "e2"], "raised": "e1"}}, "'
+      'right_effect": {"arity": 0, "body": {"kind": "exc", "exce...'
+      '\n'
+      'commutativity  state   fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 2, "body": {"k'
+      'ind": "state", "locations": ["l0"], "table": [["0", [1, "0"]'
+      '], ["1", [2, "1"]]]}}, "right_effect": {"arity": 1, "body...'
+      '\n'
+      'commutativity  output  fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 1, "body": {"k'
+      'ind": "output", "alphabet": ["a", "b", "c"], "out": "a", "va'
+      'lue": 1}}, "right_effect": {"arity": 1, "body": {"kind": ...'
+      '\n'
+      'expectations met (seed=3)\n'),
+     None),
+    (['compose', '{dir}/thirds.json', '{dir}/left.json', '{dir}/left.json'],
+     0, '[1/4,1/12,1/2,1/6 ‖ 1→a ; 2→b ; 3→a ; 4→b]\n',
+     None),
+    (['compose', '{dir}/thirds.json', '{dir}/float-entry.json',
+      '{dir}/left.json'],
+     3, '',
+     _bad_probability('0.75')),
+    (['compose', '{dir}/wide.json'],
+     3, '',
+     ('kind error: bad serialized presentation: effect body mentions '
+      'indices outside 1..1\n')),
+    # the parser keeps its own stack
+    (['eval', '-m', 'maybe', '@{dir}/deep-program.txt'],
+     0, 'v\n',
+     ''),
+    (['compose', '{dir}/dup-entries.json', '{dir}/right.json'],
+     3, '',
+     'kind error: bad serialized dist value: entries list an element twice\n'),
+    (['compose', '{dir}/dup-store.json', '{dir}/one-state.json'],
+     3, '',
+     'kind error: bad serialized state value: table lists a store twice\n'),
 ]
 
 
@@ -543,12 +778,24 @@ def workdir(tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize(
+def _answers(got, code, stdout, stderr, workdir):
+    assert got[:2] == (code, stdout)
+    if stderr is not None:
+        assert got[2] == stderr.replace("{dir}", str(workdir))
+
+
+each_case = pytest.mark.parametrize(
     "argv, code, stdout, stderr", CASES,
     ids=[f"{i:02d}-{case[0][0]}" for i, case in enumerate(CASES)])
+
+
+@each_case
 def test_golden(argv, code, stdout, stderr, workdir, capsys):
-    assert main([a.replace("{dir}", str(workdir)) for a in argv]) == code
-    out, err = capsys.readouterr()
-    assert out == stdout
-    if stderr is not None:
-        assert err == stderr.replace("{dir}", str(workdir))
+    got = main([a.replace("{dir}", str(workdir)) for a in argv])
+    _answers((got, *capsys.readouterr()), code, stdout, stderr, workdir)
+
+
+@each_case
+def test_golden_fresh(argv, code, stdout, stderr, workdir):
+    got = run_fresh([a.replace("{dir}", str(workdir)) for a in argv])
+    _answers(got, code, stdout, stderr, workdir)

@@ -377,6 +377,107 @@ class TestPlantedBugs:
         assert not report.ok
 
 
+def _output_join_keeps_one_printed_character(self, payload, outs):
+    if not outs:
+        return payload
+    u, tail = outs[0]
+    return (payload[0] + u[:1], tail)
+
+
+def _dist_join_keeps_the_last_branch_of_an_element(self, payload, outs):
+    acc = {}
+    for p, out in zip(payload.values(), outs):
+        for y, q in out.items():
+            acc[y] = p * q
+    return acc
+
+
+def _maybe_join_ignores_a_divergent_rest(self, payload, outs):
+    return outs[0] if outs and isinstance(outs[0], monads.Present) \
+        else payload
+
+
+def _maybe_order_is_equality(self, a, b):
+    return a == b
+
+
+_BOTTOM_EFFECT, _SEQ_COMPOSE = lawcheck.bottom_effect, lawcheck.seq_compose
+_MAP_CARRIER, _EXTEND = lawcheck.map_carrier, lawcheck.extend
+
+
+def _bottom_effect_returns_its_first_index(kind, arity=0):
+    if arity:
+        return ed.GenericEffect(arity, ed.unit(kind, 1))
+    return _BOTTOM_EFFECT(kind, arity)
+
+
+def _seq_compose_skips_the_outer_effect(xi, family):
+    return family[0] if family else _SEQ_COMPOSE(xi, family)
+
+
+def _map_carrier_turns_bottom_into_a_value(mu, g):
+    if mu == ed.bottom(mu.kind):
+        return ed.unit(mu.kind, "x")
+    return _MAP_CARRIER(mu, g)
+
+
+def _extend_leaves_the_row_in_place(pres, iota, m, fill):
+    # the body follows the injection, the row does not
+    wide = _EXTEND(pres, iota, m, fill)
+    return ed.Presentation(wide.effect, (*pres.row, *fill))
+
+
+# law, its side or rule (None for a row with one check), the planted
+# bug as (owner, name, function), the instance, a seed that finds it, and
+# the witness's keys
+WITNESSES = [
+    ("associativity", None,
+     (monads.Output, "join", _output_join_keeps_one_printed_character),
+     ed.output_kind(("a", "b")), 3, {"outer", "lhs", "rhs"}),
+    ("kleisli", "associativity",
+     (monads.Dist, "join", _dist_join_keeps_the_last_branch_of_an_element),
+     ed.DIST, 4, {"side", "mu", "f", "g", "lhs", "rhs"}),
+    ("congruence", "generator",
+     (lawcheck, "extend", _extend_leaves_the_row_in_place),
+     ed.DIST, 3, {"side", "xi", "rho"}),
+    ("monotonicity", "right",
+     (monads.Maybe, "join", _maybe_join_ignores_a_divergent_rest),
+     ed.MAYBE, 2, {"rule", "nu", "g"}),
+    ("monotonicity", "slotwise",
+     (monads.Maybe, "join", _maybe_join_ignores_a_divergent_rest),
+     ed.MAYBE, 1, {"rule", "effect", "low", "high"}),
+    ("bottom", "least",
+     (monads.Maybe, "leq", _maybe_order_is_equality),
+     ed.MAYBE, 1, {"rule", "mu"}),
+    ("bottom", "collapse",
+     (lawcheck, "bottom_effect", _bottom_effect_returns_its_first_index),
+     ed.MAYBE, 1, {"rule", "arity", "row"}),
+    ("bottom", "left-absorption",
+     (lawcheck, "seq_compose", _seq_compose_skips_the_outer_effect),
+     ed.MAYBE, 2, {"rule", "arity"}),
+    ("bottom", "strict-map",
+     (lawcheck, "map_carrier", _map_carrier_turns_bottom_into_a_value),
+     ed.MAYBE, 1, {"rule"}),
+]
+
+
+@pytest.mark.parametrize(
+    "law, branch, bug, kind, seed, keys", WITNESSES,
+    ids=[f"{law}-{branch or 'row'}" for law, branch, *_ in WITNESSES])
+def test_planted_bug_gives_the_witness_shape(monkeypatch, law, branch, bug,
+                                             kind, seed, keys):
+    # each witness a replay reader must parse, reached by a bug that only
+    # that check sees first
+    monkeypatch.setattr(*bug)
+    result, = ed.run_law_suite(ed.LawSuiteConfig(
+        seed=seed, laws=(law,), monads=(kind,))).results
+    witness = result.counterexample
+    assert not result.passed and set(witness) == keys
+    assert witness.get("side", witness.get("rule")) == branch
+    assert set(json.loads(json.dumps(result.to_obj()))["counterexample"]) \
+        == keys
+
+
 class TestDraws:
     """``gen.Draws`` picks in range, reaches every outcome, repeats."""
 
@@ -583,14 +684,17 @@ class TestTwoProcesses:
         assert len(self.forks) == 1
         assert capsys.readouterr().out.endswith("expectations met (seed=2)\n")
 
-    @pytest.mark.parametrize("seed", ["1", "3"])
-    def test_same_laws_text(self, capsys, seed):
+    @pytest.mark.parametrize("suite", [
+        ["--seed", "1", "--trials", "5"],
+        ["--seed", "3", "--trials", "5"],
+        ["--laws", "associativity", "--trials", "50"],
+    ], ids=["1", "3", "associativity"])
+    def test_same_laws_text(self, capsys, suite):
         outputs = []
         for cpus in (1, 2):
             self.cpus(cpus)
             for fmt in ("text", "machine"):
-                code = cli.main(["laws", "--seed", seed, "--trials", "5",
-                                 "--format", fmt])
+                code = cli.main(["laws", *suite, "--format", fmt])
                 _no_children_left()
                 outputs.append((code, *capsys.readouterr()))
         assert len(self.forks) == 2

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,32 @@ class TestFormat:
         with pytest.raises(ed.KindError,
                            match="^bad serialized dist value: probability"):
             serialize.from_obj({"kind": "dist", "entries": [["x", prob]]})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind":"dist","entries":[["a","1/2"],["a","0"]]}',
+         "dist value: entries list an element twice"),
+        ('{"kind":"dist","entries":[[1,"1/2"],[1,"1/2"]]}',
+         "dist value: entries list an element twice"),
+        ('{"kind":"state","locations":["l0"],"table":[["0",["a","0"]],'
+         '["0",["b","1"]],["1",["a","1"]]]}',
+         "state value: table lists a store twice"),
+        ('{"kind":"maybe","value":"a","bottom":true}',
+         "maybe value: value and bottom given together"),
+        ('{"kind":"exc","exceptions":["err"],"value":"a","raised":"err"}',
+         "exc value: value and raised given together"),
+        ('{"kind":"output","alphabet":["a"],"out":"a","raised":"a",'
+         '"bottom":true}',
+         "output value: raised and bottom given together"),
+    ], ids=["dist", "dist-int", "state", "maybe", "exc", "output"])
+    def test_a_key_named_twice_is_refused(self, text, message):
+        # none of them is read as its last occurrence
+        with pytest.raises(ed.KindError,
+                           match=f"^bad serialized {re.escape(message)}$"):
+            serialize.loads(text)
+
+    def test_bottom_false_beside_a_value_reads_the_value(self):
+        assert serialize.loads('{"kind":"maybe","value":"a","bottom":false}') \
+            == ed.unit(ed.MAYBE, "a")
 
     def test_rejects_malformed(self):
         with pytest.raises(ed.KindError):
