@@ -16,7 +16,8 @@ monad (``signature error``), or a bad kind or malformed machine JSON
 the expansion of prelude names or a ``compose`` file's JSON (the error
 names the file) nests too deeply for the recursion limit.  The parser
 keeps its own stack, so deep nesting alone parses.  Each error is one
-line on stderr.
+line on stderr (``effdiag <command>: error: ...`` for a bad argument),
+and ``main`` returns every code rather than raising ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -126,6 +127,12 @@ def _cmd_laws(args) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line and no usage text; the subparsers are _Parsers too
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # option groups that several subcommands read
     fmt = argparse.ArgumentParser(add_help=False)
@@ -136,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
             texts.add_argument(f"--{inst.param}", default=inst.default,
                                help=inst.help)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="effdiag",
         description="Evaluate effectful programs and work with their "
                     "effect/value presentations.")
@@ -180,9 +187,12 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # a bad argument (2) or --help (0), whose text argparse wrote
+        return exc.code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

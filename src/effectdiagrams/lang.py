@@ -216,16 +216,10 @@ OP_FAMILIES = {name: inst for inst in INSTANCES.values() for name in inst.ops}
 def _op_descriptor(name: str, indices: list, kind: Optional[MonadKind],
                    pos: int) -> OpDescriptor:
     owner = OP_FAMILIES[name]
-    n_idx = owner.ops[name][1]
-    if len(indices) != n_idx:
-        raise ParseError(
-            f"{name} takes {n_idx} bracket indices, got {len(indices)}", pos)
-    if name == "write":
-        bit = indices[1]
-        if not (bit.isdecimal() and int(bit) in (0, 1)):
-            raise ParseError(f"write bit must be 0 or 1, got {bit!r}", pos)
-        indices[1] = int(bit)
-    index = tuple(indices) if n_idx > 1 else (indices[0] if n_idx else None)
+    try:
+        index = owner.read_index(name, indices)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
     if kind is None:
         kind = owner.minimal_kind(name, index)
     return OpDescriptor(name, kind, index)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from . import gen, serialize
+from . import gen, presentations, serialize
 from .algebra import (DerivedOperation, basic_effects, bottom_effect,
                       descriptor_op, effect_to_op, seq_compose,
                       trivial_effect)
@@ -105,6 +105,8 @@ def _describe(v) -> Any:
         return serialize.to_obj(v)
     if isinstance(v, GenericEffect):
         return {"arity": v.arity, "body": serialize.to_obj(v.body)}
+    if isinstance(v, Presentation):
+        return presentations.to_obj(v)
     if isinstance(v, Mapping):
         return {str(k): _describe(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -254,7 +256,8 @@ def _associativity_violation(xi, family, subfamilies):
     rhs = seq_compose(xi, [seq_compose(member, sub)
                            for member, sub in zip(family, subfamilies)])
     if not diagram_eq(lhs, rhs):
-        return {"outer": xi.effect, "lhs": interpret(lhs),
+        return {"outer": xi.effect, "xi": xi, "family": family,
+                "subfamilies": subfamilies, "lhs": interpret(lhs),
                 "rhs": interpret(rhs)}
     return None
 
@@ -340,7 +343,7 @@ def _monotonicity_violation(mu, nu, f, g, weak, eff, low, high):
         return {"rule": "left", "mu": mu, "nu": nu, "kleisli": dict(f)}
     # f <= g pointwise entails (mu >>= f) <= (mu >>= g)
     if not leq(bind(nu, weak.__getitem__), bind(nu, g.__getitem__)):
-        return {"rule": "right", "nu": nu, "g": dict(g)}
+        return {"rule": "right", "nu": nu, "g": dict(g), "weak": weak}
     # slotwise: every family member below its mate
     if not leq(bind(eff.body, low.__getitem__),
                bind(eff.body, high.__getitem__)):
@@ -367,7 +370,8 @@ def _bottom_violation(mu, row, family):
     if interpret(collapsed) != bot:
         return {"rule": "collapse", "arity": len(row), "row": list(row)}
     if interpret(seq_compose(collapsed, family)) != bot:
-        return {"rule": "left-absorption", "arity": len(row)}
+        return {"rule": "left-absorption", "arity": len(row),
+                "row": list(row), "family": family}
     if map_carrier(bot, lambda x: x) != bot:
         return {"rule": "strict-map"}
     return None

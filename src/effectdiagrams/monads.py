@@ -269,6 +269,15 @@ class Instance:
     def support(self, payload) -> list:
         return sorted(self.returns(payload), key=canonical_key)
 
+    def read_index(self, name: str, texts: Sequence[str]):
+        """The index that ``name``'s bracket texts spell: ``None``, the one
+        text, or a tuple of them; ``ValueError`` if they spell none."""
+        n = self.ops[name][1]
+        if len(texts) != n:
+            raise ValueError(
+                f"{name} takes {n} bracket indices, got {len(texts)}")
+        return tuple(texts) if n > 1 else (texts[0] if n else None)
+
     def indices(self, kind: MonadKind, name: str) -> Sequence:
         """Every index the operation ``name`` takes under ``kind``."""
         return kind.params if self.param else (None,)
@@ -735,6 +744,15 @@ class State(Instance):
 
     def leq(self, a, b):
         return all(_CELL.leq(a[s], b[s]) for s in a)
+
+    def read_index(self, name, texts):
+        index = super().read_index(name, texts)
+        if name == "write":
+            bit = index[1]
+            if not (bit.isdecimal() and int(bit) in (0, 1)):
+                raise ValueError(f"write bit must be 0 or 1, got {bit!r}")
+            index = index[0], int(bit)
+        return index
 
     def indices(self, kind, name):
         if name == "read":

@@ -1,4 +1,8 @@
-"""Command-line interface: outputs, exit codes, machine round trips."""
+"""Command-line checks: a few short exit-code and output checks per
+subcommand, plus what a row of ``tests/test_golden.py::CASES`` cannot make:
+hash seeds, deep evaluations, the README's examples, the parser's declared
+options and its totality, a seventh instance, the ``diagram_eq`` round trip
+and reference cycles.  Whole-output pins are rows there."""
 
 import argparse
 import gc
@@ -7,6 +11,7 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import effectdiagrams as ed
 from effectdiagrams import cli, monads, presentations
@@ -38,20 +43,6 @@ class TestEval:
                            "print[a](print[b](v))")
         assert code == 0 and out == '("ab", v)'
 
-    def test_machine_format(self, capsys):
-        code, out, _ = run(capsys, "eval", "-m", "dist", "--format",
-                           "machine", "choice(v, w)")
-        assert code == 0
-        parsed = json.loads(out)
-        assert parsed["kind"] == "dist"
-        assert parsed["entries"] == [["v", "1/2"], ["w", "1/2"]]
-
-    def test_program_from_file(self, capsys, tmp_path):
-        path = tmp_path / "prog.lam"
-        path.write_text("choice(v, w)\n", encoding="utf-8")
-        code, out, _ = run(capsys, "eval", "-m", "dist", f"@{path}")
-        assert code == 0 and out == "{v: 1/2, w: 1/2}"
-
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "-m", "maybe", "(\\x. x")
         assert code == 2 and "parse error" in err
@@ -70,31 +61,6 @@ class TestEval:
                            "--exceptions", "boom,bust", "raise[bust]()")
         assert code == 0 and out == "raise bust"
 
-    @pytest.mark.parametrize("argv, code, text", [
-        (["-m", "output", "--alphabet", "01", "print[0](v)"], 0,
-         '("0", v)'),
-        (["-m", "state", "--locations", "0,1", "read[0](v, w)"], 0,
-         "{00 ↦ (v, 00), 01 ↦ (v, 01), 10 ↦ (w, 10), 11 ↦ (w, 11)}"),
-        (["-m", "exc", "--exceptions", "404", "raise[404]()"], 0,
-         "raise 404"),
-        (["-m", "state", "read[²](v, w)"], 3,
-         "signature error: unknown location '²'"),
-    ], ids=["alphabet", "locations", "exceptions", "superscript"])
-    def test_indices_written_with_digits(self, capsys, argv, code, text):
-        got, out, err = run(capsys, "eval", *argv)
-        assert got == code and text == (out if code == 0 else err)
-
-    @pytest.mark.parametrize("argv, text", [
-        (["-m", "output", "--alphabet=-a", "print[-](v)"], '("-", v)'),
-        (["-m", "exc", "--exceptions", "not-found", "raise[not-found]()"],
-         "raise not-found"),
-        (["-m", "state", "--locations", "l.0", "read[ l.0 ](v, w)"],
-         "{0 ↦ (v, 0), 1 ↦ (w, 1)}"),
-    ], ids=["alphabet", "exceptions", "locations"])
-    def test_bracket_entries_need_not_be_identifiers(self, capsys, argv,
-                                                      text):
-        assert run(capsys, "eval", *argv) == (0, text, "")
-
     def test_stuck_set_names_the_same_element_under_every_hash_seed(self):
         # bind feeds a set's elements in canonical order, not hash order
         for seed in range(4):
@@ -103,17 +69,6 @@ class TestEval:
                              PYTHONHASHSEED=str(seed)) == \
                 (1, "", "error: cannot apply a: "
                         "free variables are inert symbols\n")
-
-    def test_custom_prelude(self, capsys, tmp_path):
-        path = tmp_path / "prelude.lam"
-        path.write_text("twice = \\f. \\x. f (f x)\n", encoding="utf-8")
-        code, out, _ = run(capsys, "eval", "-m", "maybe",
-                           "--prelude", str(path), "twice id v")
-        assert code == 0 and out == "v"
-        # the file's lines see the default names
-        path.write_text("foo = id\n", encoding="utf-8")
-        code, out, _ = run(capsys, "eval", "--prelude", str(path), "foo v")
-        assert code == 0 and out == "v"
 
 
 def _chain(link, n):
@@ -167,10 +122,6 @@ class TestDiagram:
         code, out, _ = run(capsys, "diagram", "-m", "dist", "choice(v,w)")
         assert code == 0 and out == "[1/2,1/2 ‖ 1→v ; 2→w]"
 
-    def test_maybe_value(self, capsys):
-        code, out, _ = run(capsys, "diagram", "-m", "maybe", "v")
-        assert code == 0 and out == "[η ‖ 1→v]"
-
     def test_maybe_omega(self, capsys):
         code, out, _ = run(capsys, "diagram", "-m", "maybe", "OMEGA")
         assert code == 0 and out == "[⊥ ‖ ]"
@@ -185,24 +136,6 @@ def trivial_member(kind, value):
 
 
 class TestCompose:
-    def test_dist_blocks(self, capsys, tmp_path):
-        from fractions import Fraction as F
-        outer = ed.Presentation(
-            ed.GenericEffect(2, ed.MonadValue(
-                ed.DIST, {1: F(1, 2), 2: F(1, 2)})), ("p", "q"))
-        fam1 = trivial_member(ed.DIST, "x")
-        fam2 = ed.Presentation(
-            ed.GenericEffect(2, ed.MonadValue(
-                ed.DIST, {1: F(1, 2), 2: F(1, 2)})), ("x", "y"))
-        paths = []
-        for i, pres in enumerate([outer, fam1, fam2]):
-            p = tmp_path / f"p{i}.json"
-            write_presentation(p, pres)
-            paths.append(str(p))
-        code, out, _ = run(capsys, "compose", *paths)
-        assert code == 0
-        assert out == "[1/2,1/4,1/4 ‖ 1→x ; 2→x ; 3→y]"
-
     def test_identity_family_round_trip(self, capsys, tmp_path):
         # machine output of `diagram` feeds back through `compose`
         code, out, _ = run(capsys, "diagram", "-m", "dist",
@@ -232,81 +165,12 @@ class TestCompose:
         code, _, err = run(capsys, "compose", str(p0), str(p1))
         assert code == 4 and "error" in err
 
-    def test_kind_mismatch_exit_3(self, capsys, tmp_path):
-        p0, p1 = tmp_path / "a.json", tmp_path / "b.json"
-        write_presentation(p0, trivial_member(ed.DIST, "x"))
-        write_presentation(p1, trivial_member(ed.MAYBE, "x"))
-        code, _, _ = run(capsys, "compose", str(p0), str(p1))
-        assert code == 3
-
-
-    @pytest.mark.parametrize("fmt", ["text", "machine"])
-    def test_boolean_arity_exit_3(self, capsys, tmp_path, fmt):
-        path = tmp_path / "bool-arity.json"
-        path.write_text('{"effect":{"arity":true,"body":{"kind":"maybe",'
-                        '"value":1}},"row":["a"]}', encoding="utf-8")
-        code, out, err = run(capsys, "compose", "--format", fmt,
-                             str(path), str(path))
-        assert code == 3 and out == "" and "arity" in err
-
 
 class TestLaws:
     def test_default_run_exits_zero(self, capsys):
         code, out, _ = run(capsys, "laws", "--seed", "1", "--trials", "5")
         assert code == 0
         assert "expectations met" in out
-
-    def test_expected_failure_is_green(self, capsys):
-        code, out, _ = run(capsys, "laws", "--laws", "commutativity",
-                           "--monads", "output", "--trials", "3")
-        assert code == 0
-        assert "fail    fail" in out
-        assert "counterexample" in out
-
-    def test_kleisli_single_trial(self, capsys):
-        code, out, _ = run(capsys, "laws", "--laws", "kleisli",
-                           "--trials", "1")
-        assert code == 0 and "unexpected" not in out
-
-    def test_machine_report(self, capsys):
-        code, out, _ = run(capsys, "laws", "--format", "machine",
-                           "--laws", "bottom", "--trials", "2",
-                           "--seed", "7")
-        assert code == 0
-        parsed = json.loads(out)
-        assert parsed["ok"] is True
-        assert {r["law"] for r in parsed["results"]} == {"bottom"}
-
-    def test_kind_flags_apply_without_monads(self, capsys):
-        code, out, _ = run(capsys, "laws", "--laws", "commutativity",
-                           "--trials", "1", "--locations", "zz",
-                           "--format", "machine")
-        assert code == 0
-        state, = [r for r in json.loads(out)["results"]
-                  if r["monad"] == "state"]
-        assert state["counterexample"]["lhs"]["locations"] == ["zz"]
-
-    def test_unknown_law_errors(self, capsys):
-        code, _, err = run(capsys, "laws", "--laws", "bogus")
-        assert code == 1 and "unknown law" in err
-
-    def test_carrier_above_the_letters_errors(self, capsys):
-        code, _, err = run(capsys, "laws", "--laws", "kleisli", "--monads",
-                           "set", "--trials", "1", "--carrier-max", "9")
-        assert code == 1 and "carrier_size_max must be <= 5" in err
-
-    def test_arity_above_half_the_cap_errors(self, capsys):
-        # composition and bottom plug up to 2 * arity_max slots
-        code, out, err = run(capsys, "laws", "--laws", "composition,bottom",
-                             "--monads", "set", "--arity-max", "33")
-        assert code == 1 and out == ""
-        assert err == "error: arity_max must be <= 32"
-
-    def test_arity_at_half_the_cap_runs(self, capsys):
-        code, out, err = run(capsys, "laws", "--laws", "composition,bottom",
-                             "--monads", "set", "--arity-max", "32",
-                             "--trials", "200")
-        assert code == 0 and err == "" and "expectations met" in out
 
 
 KIND_TEXTS = {"--exceptions", "--locations", "--alphabet"}
@@ -320,70 +184,42 @@ OPTIONS = {
              "--monads", "--carrier-max", "--arity-max"},
 }
 
-# options no handler reads, each after arguments that are valid without it
-REMOVED = [
-    ("eval", "--seed", "1"), ("diagram", "--seed", "1"),
-    ("compose", "-m", "dist"), ("compose", "--exceptions", "err"),
-    ("compose", "--locations", "l0"), ("compose", "--alphabet", "ab"),
-    ("compose", "-f", "5"), ("compose", "--prelude", "defs.lam"),
-    ("compose", "--seed", "1"),
-    ("laws", "-m", "dist"), ("laws", "-f", "5"),
-    ("laws", "--prelude", "defs.lam"),
-]
-VALID_ARGS = {
-    "eval": ["v"], "diagram": ["v"], "compose": ["{dir}/outer.json"],
-    "laws": ["--laws", "bottom", "--trials", "1"],
-}
+
+def declared_options():
+    """Each subcommand's option strings as ``build_parser()`` declares
+    them, ``-h`` and ``--help`` included."""
+    subs, = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {name: {s for a in sub._actions for s in a.option_strings}
+            for name, sub in subs.choices.items()}
 
 
-def run_or_exit(argv):
-    """``main`` in this process; an argparse exit gives its code."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+# every declared option, and values of each sort an option or operand takes
+WORDS = sorted(set().union(*declared_options().values())) + [
+    "v", "x", "-1", "0", "dist", "foo", "bottom", "{dir}/outer.json",
+    "@missing", ""]
 
 
 class TestParser:
     def test_each_subcommand_declares_what_its_handler_reads(self):
-        subs, = [a for a in build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-        declared = {name: {s for a in sub._actions for s in a.option_strings}
-                    - {"-h", "--help"} for name, sub in subs.choices.items()}
-        assert declared == OPTIONS
+        assert {name: options - {"-h", "--help"} for name, options
+                in declared_options().items()} == OPTIONS
 
-    @pytest.mark.parametrize("command, flag, value", REMOVED)
-    def test_unread_option_is_a_bad_argument(self, capsys, workdir,
-                                             command, flag, value):
-        args = [a.replace("{dir}", str(workdir))
-                for a in VALID_ARGS[command]]
-        assert run_or_exit([command, *args, flag, value]) == 2
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(OPTIONS)),
+           words=st.lists(st.sampled_from(WORDS), max_size=6))
+    def test_main_is_total(self, capsys, monkeypatch, workdir, command,
+                           words):
+        # a law run is six one-trial cells unless a drawn option says more
+        monkeypatch.chdir(workdir)
+        head = ["--laws", "bottom", "--trials", "1"] if command == "laws" \
+            else []
+        code = main([command, *head,
+                     *(w.replace("{dir}", str(workdir)) for w in words)])
         err = capsys.readouterr().err
-        assert "unrecognized arguments" in err and flag in err
-
-    def test_one_process_answers_like_fresh_processes(self, capsys,
-                                                      workdir,
-                                                      monkeypatch):
-        # usage lines wrap at the terminal width, so fix it for both sides
-        monkeypatch.setenv("COLUMNS", "80")
-        d = str(workdir)
-        argvs = [
-            ["eval", "-m", "exc", "--exceptions", "err,crash",
-             "(\\x. raise[crash]()) v"],
-            ["eval", "-m", "exc", "--format", "machine", "id v"],
-            ["laws", "--format", "machine", "--laws", "bottom",
-             "--trials", "2"],
-            ["compose", f"{d}/outer.json", "-m", "dist"],
-            ["compose", f"{d}/outer.json", f"{d}/left.json",
-             f"{d}/right.json"],
-        ]
-        in_process = []
-        for argv in argvs:
-            code = run_or_exit(argv)
-            in_process.append((code, *capsys.readouterr()))
-        fresh = [run_fresh(argv) for argv in argvs]
-        assert [r[0] for r in in_process] == [0, 0, 0, 2, 0]
-        assert in_process == fresh
+        assert type(code) is int and 0 <= code <= 5
+        assert len(err.splitlines()) <= 1
 
 
 class Faults(monads.Exc):

@@ -1,12 +1,15 @@
 """Golden lock on the command line: exact stdout, exit codes and error text.
 
 ``CASES`` is the one table of CLI outputs: a new pin is appended to it,
-so every case keeps its id.  Each case runs twice, through ``main`` in
+so every case keeps its id, and ``tests/test_cli.py`` keeps only the
+checks a case cannot make.  Each case runs twice, through ``main`` in
 this process (``test_golden``) and as ``python -m effectdiagrams.cli`` in
 a fresh interpreter (``test_golden_fresh``), which also sees faults at
-import time, in the entry point and in ``sys.exit``.  Both compare the
-exit code and the whole of stdout with literals, and stderr wherever a
-case gives it (every case that exits with 2, 3, 4 or 5, and some that
+import time, in the entry point and in ``sys.exit``.  ``main`` returns
+every exit code, a bad argument's 2 included, so a usage error is a case
+like any other.  Both runs compare the exit code and the whole of stdout
+with literals, and stderr wherever a case gives it (every case that
+exits with 2, 3, 4 or 5, every case from 82 on, and some others that
 exit with 0 or 1).  ``{dir}`` in an argument or in stderr stands for a
 temporary directory holding the files in ``FILES``, written as UTF-8
 unless given as bytes.
@@ -88,6 +91,26 @@ FILES.update({
          '"],"table":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
     # a program too long for one argv string, which Linux caps at 128 KiB
     'deep-program.txt': '(' * 10 ** 5 + 'v' + ')' * 10 ** 5,
+})
+FILES.update({
+    # a program, and two prelude files
+    'prog.lam': 'choice(v, w)\n',
+    'twice.lam': 'twice = \\f. \\x. f (f x)\n',
+    'foo.lam': 'foo = id\n',
+    # one-member dist and maybe presentations, a fair choice between two
+    # elements, and an arity that is a JSON boolean
+    'trivial-x.json':
+        '{"effect":{"arity":1,"body":{"kind":"dist","entries":[[1,"1"]]}},'
+        '"row":["x"]}\n',
+    'maybe-x.json':
+        ('{"effect":{"arity":1,"body":{"kind":"maybe","value":1}},"row":'
+         '["x"]}\n'),
+    'halves-xy.json':
+        ('{"effect":{"arity":2,"body":{"kind":"dist","entries":[[1,"1/'
+         '2"],[2,"1/2"]]}},"row":["x","y"]}\n'),
+    'bool-arity.json':
+        ('{"effect":{"arity":true,"body":{"kind":"maybe","value":1}},"row":'
+         '["a"]}\n'),
 })
 
 
@@ -765,6 +788,179 @@ CASES = [
     (['compose', '{dir}/dup-store.json', '{dir}/one-state.json'],
      3, '',
      'kind error: bad serialized state value: table lists a store twice\n'),
+    (['eval', '-m', 'dist', '--format', 'machine', 'choice(v, w)'],
+     0, '{"kind":"dist","entries":[["v","1/2"],["w","1/2"]]}\n',
+     ''),
+    # a program read from a file
+    (['eval', '-m', 'dist', '@{dir}/prog.lam'],
+     0, '{v: 1/2, w: 1/2}\n',
+     ''),
+    # index texts made of digits; a superscript digit is no location
+    (['eval', '-m', 'output', '--alphabet', '01', 'print[0](v)'],
+     0, '("0", v)\n',
+     ''),
+    (['eval', '-m', 'state', '--locations', '0,1', 'read[0](v, w)'],
+     0, '{00 ↦ (v, 00), 01 ↦ (v, 01), 10 ↦ (w, 10), 11 ↦ (w, 11)}\n',
+     ''),
+    (['eval', '-m', 'exc', '--exceptions', '404', 'raise[404]()'],
+     0, 'raise 404\n',
+     ''),
+    (['eval', '-m', 'state', 'read[²](v, w)'],
+     3, '',
+     "signature error: unknown location '²'\n"),
+    # bracket entries need not be identifiers
+    (['eval', '-m', 'output', '--alphabet=-a', 'print[-](v)'],
+     0, '("-", v)\n',
+     ''),
+    (['eval', '-m', 'exc', '--exceptions', 'not-found', 'raise[not-found]()'],
+     0, 'raise not-found\n',
+     ''),
+    (['eval', '-m', 'state', '--locations', 'l.0', 'read[ l.0 ](v, w)'],
+     0, '{0 ↦ (v, 0), 1 ↦ (w, 1)}\n',
+     ''),
+    # a prelude file continues the default prelude and sees its names
+    (['eval', '-m', 'maybe', '--prelude', '{dir}/twice.lam', 'twice id v'],
+     0, 'v\n',
+     ''),
+    (['eval', '--prelude', '{dir}/foo.lam', 'foo v'],
+     0, 'v\n',
+     ''),
+    (['diagram', '-m', 'maybe', 'v'],
+     0, '[η ‖ 1→v]\n',
+     ''),
+    # blocks under a fair choice; a member of another kind; a boolean arity
+    (['compose', '{dir}/outer.json', '{dir}/trivial-x.json',
+      '{dir}/halves-xy.json'],
+     0, '[1/2,1/4,1/4 ‖ 1→x ; 2→x ; 3→y]\n',
+     ''),
+    (['compose', '{dir}/trivial-x.json', '{dir}/maybe-x.json'],
+     3, '',
+     'kind error: family member of kind maybe under dist\n'),
+    (['compose', '{dir}/bool-arity.json', '{dir}/bool-arity.json'],
+     3, '',
+     ('kind error: bad serialized presentation: arity must be an in'
+      't, got True\n')),
+    (['compose', '--format', 'machine', '{dir}/bool-arity.json',
+      '{dir}/bool-arity.json'],
+     3, '',
+     ('kind error: bad serialized presentation: arity must be an in'
+      't, got True\n')),
+    # law runs with an expected failure, kind options, a bad name or bound
+    (['laws', '--laws', 'commutativity', '--monads', 'output', '--trials',
+      '3'],
+     0, ('law            monad   result  expected\n'
+      'commutativity  output  fail    fail\n'
+      '    counterexample: {"left_effect": {"arity": 1, "body": {"k'
+      'ind": "output", "alphabet": ["a", "b"], "out": "a", "value":'
+      ' 1}}, "right_effect": {"arity": 1, "body": {"kind": "outp...'
+      '\n'
+      'expectations met (seed=1)\n'),
+     ''),
+    (['laws', '--laws', 'kleisli', '--trials', '1'],
+     0, ('law            monad   result  expected\n'
+      'kleisli        maybe   pass    pass\n'
+      'kleisli        exc     pass    pass\n'
+      'kleisli        set     pass    pass\n'
+      'kleisli        dist    pass    pass\n'
+      'kleisli        state   pass    pass\n'
+      'kleisli        output  pass    pass\n'
+      'expectations met (seed=1)\n'),
+     ''),
+    (['laws', '--format', 'machine', '--laws', 'bottom', '--trials', '2',
+      '--seed', '7'],
+     0, ('{"seed": 7, "ok": true, "results": [{"law": "bottom", "monad'
+      '": "maybe", "pass": true, "trials": 2, "seed": 7, "expected_'
+      'pass": true}, {"law": "bottom", "monad": "exc", "pass": true'
+      ', "trials": 2, "seed": 7, "expected_pass": true}, {"law": "b'
+      'ottom", "monad": "set", "pass": true, "trials": 2, "seed": 7'
+      ', "expected_pass": true}, {"law": "bottom", "monad": "dist",'
+      ' "pass": true, "trials": 2, "seed": 7, "expected_pass": true'
+      '}, {"law": "bottom", "monad": "state", "pass": true, "trials'
+      '": 2, "seed": 7, "expected_pass": true}, {"law": "bottom", "'
+      'monad": "output", "pass": true, "trials": 2, "seed": 7, "exp'
+      'ected_pass": true}]}\n'),
+     ''),
+    (['laws', '--laws', 'commutativity', '--trials', '1', '--locations', 'zz',
+      '--format', 'machine'],
+     0, ('{"seed": 1, "ok": true, "results": [{"law": "commutativity",'
+      ' "monad": "maybe", "pass": true, "trials": 5, "seed": 1, "ex'
+      'pected_pass": true}, {"law": "commutativity", "monad": "exc"'
+      ', "pass": false, "trials": 3, "seed": 1, "expected_pass": fa'
+      'lse, "counterexample": {"left_effect": {"arity": 0, "body": '
+      '{"kind": "exc", "exceptions": ["err"], "raised": "err"}}, "r'
+      'ight_effect": {"arity": 0, "body": {"kind": "exc", "exceptio'
+      'ns": ["err"], "bottom": true}}, "grid": [], "lhs": {"kind": '
+      '"exc", "exceptions": ["err"], "raised": "err"}, "rhs": {"kin'
+      'd": "exc", "exceptions": ["err"], "bottom": true}}}, {"law":'
+      ' "commutativity", "monad": "set", "pass": true, "trials": 10'
+      ', "seed": 1, "expected_pass": true}, {"law": "commutativity"'
+      ', "monad": "dist", "pass": true, "trials": 10, "seed": 1, "e'
+      'xpected_pass": true}, {"law": "commutativity", "monad": "sta'
+      'te", "pass": false, "trials": 2, "seed": 1, "expected_pass":'
+      ' false, "counterexample": {"left_effect": {"arity": 2, "body'
+      '": {"kind": "state", "locations": ["zz"], "table": [["0", [1'
+      ', "0"]], ["1", [2, "1"]]]}}, "right_effect": {"arity": 1, "b'
+      'ody": {"kind": "state", "locations": ["zz"], "table": [["0",'
+      ' [1, "0"]], ["1", [1, "0"]]]}}, "grid": [["x11"], ["x21"]], '
+      '"lhs": {"kind": "state", "locations": ["zz"], "table": [["0"'
+      ', ["x11", "0"]], ["1", ["x21", "0"]]]}, "rhs": {"kind": "sta'
+      'te", "locations": ["zz"], "table": [["0", ["x11", "0"]], ["1'
+      '", ["x11", "0"]]]}}}, {"law": "commutativity", "monad": "out'
+      'put", "pass": false, "trials": 2, "seed": 1, "expected_pass"'
+      ': false, "counterexample": {"left_effect": {"arity": 1, "bod'
+      'y": {"kind": "output", "alphabet": ["a", "b"], "out": "a", "'
+      'value": 1}}, "right_effect": {"arity": 1, "body": {"kind": "'
+      'output", "alphabet": ["a", "b"], "out": "b", "value": 1}}, "'
+      'grid": [["x11"]], "lhs": {"kind": "output", "alphabet": ["a"'
+      ', "b"], "out": "ab", "value": "x11"}, "rhs": {"kind": "outpu'
+      't", "alphabet": ["a", "b"], "out": "ba", "value": "x11"}}}]}'
+      '\n'),
+     ''),
+    (['laws', '--laws', 'bogus'],
+     1, '',
+     "error: unknown law identifiers: ['bogus']\n"),
+    (['laws', '--laws', 'kleisli', '--monads', 'set', '--trials', '1',
+      '--carrier-max', '9'],
+     1, '',
+     'error: carrier_size_max must be <= 5\n'),
+    (['laws', '--laws', 'composition,bottom', '--monads', 'set',
+      '--arity-max', '33'],
+     1, '',
+     'error: arity_max must be <= 32\n'),
+    (['laws', '--laws', 'composition,bottom', '--monads', 'set',
+      '--arity-max', '32', '--trials', '200'],
+     0, ('law            monad   result  expected\n'
+      'composition    set     pass    pass\n'
+      'bottom         set     pass    pass\n'
+      'expectations met (seed=1)\n'),
+     ''),
+    (['laws', '--format', 'machine', '--laws', 'bottom', '--trials', '2'],
+     0, ('{"seed": 1, "ok": true, "results": [{"law": "bottom", "monad'
+      '": "maybe", "pass": true, "trials": 2, "seed": 1, "expected_'
+      'pass": true}, {"law": "bottom", "monad": "exc", "pass": true'
+      ', "trials": 2, "seed": 1, "expected_pass": true}, {"law": "b'
+      'ottom", "monad": "set", "pass": true, "trials": 2, "seed": 1'
+      ', "expected_pass": true}, {"law": "bottom", "monad": "dist",'
+      ' "pass": true, "trials": 2, "seed": 1, "expected_pass": true'
+      '}, {"law": "bottom", "monad": "state", "pass": true, "trials'
+      '": 2, "seed": 1, "expected_pass": true}, {"law": "bottom", "'
+      'monad": "output", "pass": true, "trials": 2, "seed": 1, "exp'
+      'ected_pass": true}]}\n'),
+     ''),
+    # an option that a subcommand does not read is a bad argument: one line
+    # on stderr and no usage text
+    *[([command, *args, flag, value], 2, '',
+       f'effdiag: error: unrecognized arguments: {flag} {value}\n')
+      for command, args, unread in (
+          ('eval', ['v'], [('--seed', '1')]),
+          ('diagram', ['v'], [('--seed', '1')]),
+          ('compose', ['{dir}/outer.json'],
+           [('-m', 'dist'), ('--exceptions', 'err'), ('--locations', 'l0'),
+            ('--alphabet', 'ab'), ('-f', '5'), ('--prelude', 'defs.lam'),
+            ('--seed', '1')]),
+          ('laws', ['--laws', 'bottom', '--trials', '1'],
+           [('-m', 'dist'), ('-f', '5'), ('--prelude', 'defs.lam')]))
+      for flag, value in unread],
 ]
 
 

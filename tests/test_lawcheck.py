@@ -433,7 +433,8 @@ def _extend_leaves_the_row_in_place(pres, iota, m, fill):
 WITNESSES = [
     ("associativity", None,
      (monads.Output, "join", _output_join_keeps_one_printed_character),
-     ed.output_kind(("a", "b")), 3, {"outer", "lhs", "rhs"}),
+     ed.output_kind(("a", "b")), 3,
+     {"outer", "xi", "family", "subfamilies", "lhs", "rhs"}),
     ("kleisli", "associativity",
      (monads.Dist, "join", _dist_join_keeps_the_last_branch_of_an_element),
      ed.DIST, 4, {"side", "mu", "f", "g", "lhs", "rhs"}),
@@ -442,7 +443,7 @@ WITNESSES = [
      ed.DIST, 3, {"side", "xi", "rho"}),
     ("monotonicity", "right",
      (monads.Maybe, "join", _maybe_join_ignores_a_divergent_rest),
-     ed.MAYBE, 2, {"rule", "nu", "g"}),
+     ed.MAYBE, 2, {"rule", "nu", "g", "weak"}),
     ("monotonicity", "slotwise",
      (monads.Maybe, "join", _maybe_join_ignores_a_divergent_rest),
      ed.MAYBE, 1, {"rule", "effect", "low", "high"}),
@@ -454,7 +455,7 @@ WITNESSES = [
      ed.MAYBE, 1, {"rule", "arity", "row"}),
     ("bottom", "left-absorption",
      (lawcheck, "seq_compose", _seq_compose_skips_the_outer_effect),
-     ed.MAYBE, 2, {"rule", "arity"}),
+     ed.MAYBE, 2, {"rule", "arity", "row", "family"}),
     ("bottom", "strict-map",
      (lawcheck, "map_carrier", _map_carrier_turns_bottom_into_a_value),
      ed.MAYBE, 1, {"rule"}),
