@@ -23,9 +23,20 @@ from .lang import (Abs, App, DEFAULT_PRELUDE, EvalError, Op, ParseError,
                    SignatureError, Term, Var, default_defs, eval_diagram,
                    eval_monadic_term, evaluate, free_vars, is_closed,
                    is_value, parse, parse_defs, substitute)
-from .lawcheck import (ALL_LAWS, EXPECTED_FAIL, LawResult, LawSuiteConfig,
-                       SuiteReport, check_algebraic, check_commutative,
-                       default_kinds, expected_pass, replay, run_law_suite)
+
+# the law suite and its generators are imported on first use, so the
+# commands that do not run it never load them
+_LAWCHECK = ("ALL_LAWS", "EXPECTED_FAIL", "LawResult", "LawSuiteConfig",
+             "SuiteReport", "check_algebraic", "check_commutative",
+             "default_kinds", "expected_pass", "replay", "run_law_suite")
+
+
+def __getattr__(name):
+    if name in _LAWCHECK:
+        from . import lawcheck
+        return getattr(lawcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

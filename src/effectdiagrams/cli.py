@@ -16,8 +16,14 @@ monad (``signature error``), or a bad kind or malformed machine JSON
 the expansion of prelude names or a ``compose`` file's JSON (the error
 names the file) nests too deeply for the recursion limit.  The parser
 keeps its own stack, so deep nesting alone parses.  Each error is one
-line on stderr (``effdiag <command>: error: ...`` for a bad argument),
-and ``main`` returns every code rather than raising ``SystemExit``.
+line on stderr (``effdiag <command>: error: ...`` for a bad argument,
+with a line end inside an argument shown as ``\\n`` or ``\\r``), and
+``main`` returns every code rather than raising ``SystemExit``.
+
+An argv whose first word names a subcommand is parsed in one argparse
+pass, by that subcommand's parser, with what it leaves over reported as
+the top-level parser reports it; every other argv goes through the
+top-level parser.  The law suite is imported by ``laws`` alone.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from gettext import gettext
 
 from . import presentations, serialize
 from .lang import (DEFAULT_PRELUDE, EvalError, ParseError, default_defs,
                    eval_diagram, evaluate, parse, parse_defs)
-from .lawcheck import ALL_LAWS, LawSuiteConfig, run_law_suite
 from .algebra import seq_compose
 from .monads import (ArityError, INSTANCES, KindError, SignatureError,
                      instance)
@@ -75,17 +81,20 @@ def _cmd_diagram(args) -> int:
 def _cmd_compose(args) -> int:
     loaded = []
     for path in args.files:
-        with open(path, encoding="utf-8") as handle:
-            try:
-                obj = json.load(handle)
-            except RecursionError:
-                print(f"error: recursion limit reached: {path} nests its "
-                      "JSON too deeply to read", file=sys.stderr)
-                return 5
-            except ValueError as exc:
-                # not JSON, or not UTF-8
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                return 1
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            # decoded, and line ends translated, as text mode reads a file
+            obj = json.loads(data.decode("utf-8").replace("\r\n", "\n")
+                             .replace("\r", "\n"))
+        except RecursionError:
+            print(f"error: recursion limit reached: {path} nests its "
+                  "JSON too deeply to read", file=sys.stderr)
+            return 5
+        except ValueError as exc:
+            # not JSON, or not UTF-8
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 1
         loaded.append(presentations.from_obj(obj))
     result = seq_compose(loaded[0], loaded[1:])
     print(render(result, args.format))
@@ -93,6 +102,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    from .lawcheck import ALL_LAWS, LawSuiteConfig, run_law_suite
     tags = args.monads.split(",") if args.monads else INSTANCES
     kinds = tuple(instance(tag.strip()).kind_from_text(vars(args))
                   for tag in tags if tag.strip())
@@ -130,6 +140,7 @@ def _cmd_laws(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # one line and no usage text; the subparsers are _Parsers too
+        message = message.replace("\n", "\\n").replace("\r", "\\r")
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
@@ -148,6 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate effectful programs and work with their "
                     "effect/value presentations.")
     subs = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's parser by name, for main's one-pass dispatch
+    parser.commands = subs.choices
 
     for name, func, text in (
             ("eval", _cmd_eval, "evaluate a program"),
@@ -186,9 +199,25 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _parse_args(argv):
+    """What ``_PARSER.parse_args(argv)`` gives, in one argparse pass when
+    ``argv`` starts with a subcommand: the top level would hand that
+    subcommand's parser the rest and report its leftovers itself."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error(gettext("unrecognized arguments: %s")
+                      % " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # a bad argument (2) or --help (0), whose text argparse wrote

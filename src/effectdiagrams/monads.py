@@ -228,9 +228,11 @@ class Instance:
     """Everything one monad instance knows, for one ``MonadKind.tag``.
 
     Methods take and return bare payloads.  ``normalise`` and
-    ``from_obj`` accept untrusted input; every other method may assume
-    its payloads are canonical and must return canonical payloads.  See
-    the README for the list of methods a subclass provides.
+    ``from_obj`` accept untrusted input: ``from_obj`` reads machine JSON
+    into a canonical payload, checking what ``normalise`` checks, so it
+    is not checked again.  Every other method may assume its payloads
+    are canonical and must return canonical payloads.  See the README for
+    the list of methods a subclass provides.
     """
 
     tag = ""
@@ -338,6 +340,10 @@ class Maybe(Instance):
         return {"bottom": True}
 
     def from_obj(self, kind, obj):
+        return self.normalise(kind, self._cell_from_obj(obj))
+
+    def _cell_from_obj(self, obj):
+        """The cell that ``obj``'s keys name, unchecked against a kind."""
         shapes = [key for key in ("value", "raised") if key in obj]
         if obj.get("bottom"):
             shapes.append("bottom")
@@ -388,6 +394,8 @@ class Exc(Maybe):
     def check_kind(self, kind):
         if not kind.params:
             raise KindError("exception monad needs a non-empty label set")
+        if "" in kind.params:
+            raise KindError(f"empty exception label in {kind.params!r}")
 
     def normalise(self, kind, payload):
         if isinstance(payload, Raised) and \
@@ -590,10 +598,22 @@ class Dist(Instance):
 
     def from_obj(self, kind, obj):
         entries = obj["entries"]
-        payload = {value_from_obj(x): _probability_from_obj(p)
-                   for x, p in entries}
+        # each distinct probability text is parsed once
+        parsed: dict = {}
+        payload = {}
+        for x, p in entries:
+            x = value_from_obj(x)
+            q = parsed.get(p) if type(p) is str else None
+            if q is None:
+                q = parsed[p] = _probability_from_obj(p)
+            payload[x] = q
         if len(payload) != len(entries):
             raise ValueError("entries list an element twice")
+        n, d = _sum(list(payload.values()))
+        if n > d:
+            raise KindError(f"total mass {Fraction(n, d)} exceeds 1")
+        if any(not q.numerator for q in parsed.values()):
+            payload = {x: p for x, p in payload.items() if p.numerator}
         return payload
 
     def render(self, payload):
@@ -642,10 +662,17 @@ def _bits(width: int) -> Mapping:
     return MappingProxyType({s: "".join(map(str, s)) for s in _stores(width)})
 
 
-def _store_from_str(text: str, width: int):
-    if len(text) != width or any(c not in "01" for c in text):
+@lru_cache(maxsize=None)
+def _stores_by_bits(width: int) -> Mapping:
+    """The inverse of ``_bits(width)``."""
+    return MappingProxyType({b: s for s, b in _bits(width).items()})
+
+
+def _store_from_str(text, by_bits: Mapping) -> tuple:
+    store = by_bits.get(text) if type(text) is str else None
+    if store is None:
         raise KindError(f"bad serialized store {text!r}")
-    return tuple([int(c) for c in text])
+    return store
 
 
 class State(Instance):
@@ -658,6 +685,8 @@ class State(Instance):
     def check_kind(self, kind):
         if not kind.params:
             raise KindError("state monad needs a non-empty location list")
+        if "" in kind.params:
+            raise KindError(f"empty location in {kind.params!r}")
         if len(kind.params) > MAX_LOCATIONS:
             raise KindError(
                 f"at most {MAX_LOCATIONS} locations supported, "
@@ -783,19 +812,25 @@ class State(Instance):
 
     def from_obj(self, kind, obj):
         width = len(kind.params)
+        by_bits = _stores_by_bits(width)
         rows = obj["table"]
         table = {}
         for store_s, cell in rows:
-            store = _store_from_str(store_s, width)
+            store = _store_from_str(store_s, by_bits)
             if cell is None:
                 table[store] = DIVERGE
             else:
                 x, nxt = cell
                 table[store] = Present(
-                    (value_from_obj(x), _store_from_str(nxt, width)))
+                    (value_from_obj(x), _store_from_str(nxt, by_bits)))
         if len(table) != len(rows):
             raise ValueError("table lists a store twice")
-        return table
+        # in store order, as normalise gives it: returns follows it
+        try:
+            return {s: table[s] for s in _stores(width)}
+        except KeyError as exc:
+            raise KindError(f"store {exc.args[0]!r} missing from state "
+                            f"table") from None
 
     def _cells(self, payload, arrow, sep, comma):
         bits = _bits(len(next(iter(payload))))
@@ -881,7 +916,7 @@ class Output(Instance):
         return {"out": payload[0], **_CELL.to_obj(payload[1])}
 
     def from_obj(self, kind, obj):
-        return (obj["out"], _CELL.from_obj(kind, obj))
+        return self.normalise(kind, (obj["out"], _CELL._cell_from_obj(obj)))
 
     def render(self, payload):
         return f'("{payload[0]}", {_CELL.render(payload[1])})'

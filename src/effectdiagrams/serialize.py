@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 
-from .monads import INSTANCES, KindError, MonadKind, MonadValue, instance
+from .monads import (INSTANCES, KindError, MonadKind, MonadValue, _trusted,
+                     instance)
 from .monads import value_from_obj, value_to_obj  # noqa: F401 (re-exported)
 
 
@@ -34,7 +35,9 @@ def malformed(what: str, exc: Exception) -> KindError:
 def from_obj(obj: dict) -> MonadValue:
     """Rebuild a monad value from its serialized form.
 
-    Malformed input raises ``KindError``, naming a missing key.
+    Malformed input raises ``KindError``, naming a missing key.  The
+    instance's ``from_obj`` checks the payload as ``MonadValue`` would,
+    so it is wrapped unchecked.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise KindError(f"bad serialized monad value: {obj!r}")
@@ -49,7 +52,7 @@ def from_obj(obj: dict) -> MonadValue:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise malformed(f"{inst.tag} value", exc) from None
-    return MonadValue(kind, payload)
+    return _trusted(kind, payload)
 
 
 def dumps(mu: MonadValue) -> str:

@@ -1,8 +1,9 @@
 """Command-line checks: a few short exit-code and output checks per
 subcommand, plus what a row of ``tests/test_golden.py::CASES`` cannot make:
 hash seeds, deep evaluations, the README's examples, the parser's declared
-options and its totality, a seventh instance, the ``diagram_eq`` round trip
-and reference cycles.  Whole-output pins are rows there."""
+options, its totality and its one-pass dispatch, what a command imports, a
+seventh instance, the ``diagram_eq`` round trip and reference cycles.
+Whole-output pins are rows there."""
 
 import argparse
 import gc
@@ -11,14 +12,14 @@ import shlex
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import effectdiagrams as ed
 from effectdiagrams import cli, monads, presentations
 from effectdiagrams.cli import build_parser, main
 
-from fresh import run_fresh
-from test_golden import workdir  # noqa: F401 (the golden files fixture)
+from fresh import run_fresh, run_python
+from test_golden import FILES, workdir  # noqa: F401 (the files fixture)
 
 
 def run(capsys, *argv):
@@ -220,6 +221,94 @@ class TestParser:
         err = capsys.readouterr().err
         assert type(code) is int and 0 <= code <= 5
         assert len(err.splitlines()) <= 1
+
+
+# well-formed values of each option, with a bad one or two among them
+VALUES = {
+    "-m": sorted(monads.INSTANCES), "--monad": ["dist", "state", "foo"],
+    "--exceptions": ["err", "err,crash", ""],
+    "--locations": ["l0", "l0,l1", "l0,,l1"], "--alphabet": ["ab", "a"],
+    "-f": ["0", "5", "x"], "--fuel": ["40", "-1"],
+    "--format": ["text", "machine", "xml"],
+    "--prelude": ["{dir}/twice.lam", "{dir}/oops.defs", "missing.lam"],
+    "--seed": ["1", "2"], "--trials": ["1", "0"],
+    "--laws": ["bottom", "unit,kleisli", "bogus"],
+    "--monads": ["maybe", "set,dist", "state", "foo"],
+    "--carrier-max": ["2", "9"], "--arity-max": ["2", "33"],
+}
+PAIRS = sorted((option, value)
+               for option in VALUES for value in VALUES[option])
+PROGRAMS = ["v", "choice(v, w)", "union(a, b) a", "(\\x. x", "raise[err]()",
+            "read[l0](v, w)", "write[l1,1](v)", "print[b](v)", "OMEGA",
+            "@{dir}/prog.lam", "@missing"]
+COMPOSED = [f"{{dir}}/{name}" for name in sorted(FILES)]
+JUNK = ["", "-", "--", "-x", "--bogus", "--form", "--x\ny", "eval"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, or a word that is none, its options with values,
+    its operands, and at most one junk word or other command's option,
+    in any order."""
+    command = draw(st.sampled_from([*sorted(OPTIONS), "bogus", "-h", ""]))
+    own = [pair for pair in PAIRS if pair[0] in OPTIONS.get(command, ())]
+    items = draw(st.lists(st.sampled_from(own), max_size=3)) if own else []
+    if command in ("eval", "diagram"):
+        items.append((draw(st.sampled_from(PROGRAMS)),))
+    elif command == "compose":
+        items += [(path,) for path in draw(st.lists(
+            st.sampled_from(COMPOSED), min_size=1, max_size=4))]
+    items += draw(st.lists(st.one_of(
+        st.sampled_from(JUNK).map(lambda w: (w,)), st.sampled_from(PAIRS)),
+        max_size=1))
+    # a law run is a handful of one-trial cells unless a draw says more
+    head = ["--laws", "bottom", "--trials", "1"] if command == "laws" else []
+    return [command, *head,
+            *(w for item in draw(st.permutations(items)) for w in item)]
+
+
+class TestDispatch:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argvs())
+    @example(argv=["compose", "{dir}/outer.json", "{dir}/not-json.json"])
+    @example(argv=["eval", "-m", "maybe", "choice(v, w)"])
+    @example(argv=["compose", "{dir}/outer.json", "{dir}/left.json"])
+    @example(argv=["compose", "{dir}/deep.json"])
+    @example(argv=["eval", "v", "--x\ny", "--", "w"])
+    @example(argv=[])
+    def test_one_pass_matches_argparse(self, capsys, monkeypatch, workdir,
+                                       argv):
+        # with no subcommand known to main, every argv takes the top level
+        monkeypatch.chdir(workdir)
+        argv = [w.replace("{dir}", str(workdir)) for w in argv]
+        got = (main(argv), *capsys.readouterr())
+        commands = cli._PARSER.commands
+        cli._PARSER.commands = {}
+        try:
+            want = (main(argv), *capsys.readouterr())
+        finally:
+            cli._PARSER.commands = commands
+        assert got == want
+
+
+def test_only_laws_loads_the_law_suite(workdir):
+    # a fresh interpreter, so no other test has imported lawcheck yet
+    script = (
+        "import sys\n"
+        "from effectdiagrams.cli import main\n"
+        "d = sys.argv[1]\n"
+        "for argv in (['eval', 'v'], ['diagram', 'v'],\n"
+        "             ['compose', d + '/outer.json', d + '/left.json',\n"
+        "              d + '/right.json']):\n"
+        "    assert main(argv) == 0\n"
+        "print(sorted({'effectdiagrams.gen', 'effectdiagrams.lawcheck'}\n"
+        "             & set(sys.modules)))\n"
+        "import effectdiagrams as ed\n"
+        "print(ed.run_law_suite.__module__, len(ed.ALL_LAWS))\n")
+    code, out, err = run_python(["-c", script, str(workdir)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == ["[]", "effectdiagrams.lawcheck 11"]
 
 
 class Faults(monads.Exc):

@@ -113,6 +113,38 @@ FILES.update({
          '["a"]}\n'),
 })
 
+# line ends as text mode reads them (CRLF and lone CR), a byte order mark,
+# an empty file and a latin-1 byte past a CRLF: each file read as bytes
+# gives the text, or the error, that reading it in text mode gives
+_OUTER_LINES = [b'{', b' "effect": {"arity": 2,',
+                b'  "body": {"kind": "dist", "entries": [[1, "1/2"], '
+                b'[2, "1/2"]]}},', b' "row": ["v", "w"]', b'}', b'']
+_BAD_LINES = [b'{', b' "effect": {"arity": 1,',
+              b'  "body": {"kind": "dist" "entries": [[1, "1"]]}},',
+              b' "row": ["c"]', b'}', b'']
+FILES.update({
+    'crlf.json': b'\r\n'.join(_OUTER_LINES),
+    'lone-cr.json': b'\r'.join(_OUTER_LINES),
+    'crlf-bad.json': b'\r\n'.join(_BAD_LINES),
+    'lone-cr-bad.json': b'\r'.join(_BAD_LINES),
+    'cr-in-string.json':
+        (b'{"effect":{"arity":1,"body":{"kind":"dist","entries":[[1,"1"]]}'
+         b'},"row":["a\rb"]}\n'),
+    'bom.json': b'\xef\xbb\xbf' + FILES['right.json'].encode('utf-8'),
+    'empty.json': b'',
+    'latin-1-crlf.json': b'{\r\n "row":\r\n ["caf\xe9"]}\r\n',
+    # stores that are not bit strings, and a location named by ""
+    'list-store.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":["l0'
+         '"],"table":[[["0"],[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
+    'int-store.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":["l0'
+         '"],"table":[[0,[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
+    'empty-location.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":[""]'
+         ',"table":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
+})
+
 
 def _bad_probability(shown):
     return (f"kind error: bad serialized dist value: probability {shown} "
@@ -961,6 +993,69 @@ CASES = [
           ('laws', ['--laws', 'bottom', '--trials', '1'],
            [('-m', 'dist'), ('-f', '5'), ('--prelude', 'defs.lam')]))
       for flag, value in unread],
+    # compose reads each file as bytes: CRLF and lone-CR line ends, a byte
+    # order mark, an empty file and a byte that is not UTF-8 read as text
+    # mode reads them, and every error keeps its position
+    (['compose', '{dir}/crlf.json', '{dir}/left.json', '{dir}/right.json'],
+     0, '[3/8,1/8,1/2 ‖ 1→a ; 2→b ; 3→c]\n',
+     ''),
+    (['compose', '{dir}/lone-cr.json', '{dir}/left.json', '{dir}/right.json'],
+     0, '[3/8,1/8,1/2 ‖ 1→a ; 2→b ; 3→c]\n',
+     ''),
+    (['compose', '{dir}/crlf-bad.json'],
+     1, '',
+     ("error: {dir}/crlf-bad.json: Expecting ',' delimiter: line 3 column "
+      '27 (char 52)\n')),
+    (['compose', '{dir}/outer.json', '{dir}/lone-cr-bad.json'],
+     1, '',
+     ("error: {dir}/lone-cr-bad.json: Expecting ',' delimiter: line 3 "
+      'column 27 (char 52)\n')),
+    (['compose', '{dir}/cr-in-string.json'],
+     1, '',
+     ('error: {dir}/cr-in-string.json: Invalid control character at: line '
+      '1 column 75 (char 74)\n')),
+    (['compose', '{dir}/bom.json'],
+     1, '',
+     ('error: {dir}/bom.json: Unexpected UTF-8 BOM (decode using utf-8-sig)'
+      ': line 1 column 1 (char 0)\n')),
+    (['compose', '{dir}/outer.json', '{dir}/empty.json'],
+     1, '',
+     'error: {dir}/empty.json: Expecting value: line 1 column 1 (char 0)\n'),
+    (['compose', '{dir}/outer.json', '{dir}/latin-1-crlf.json'],
+     1, '',
+     ("error: {dir}/latin-1-crlf.json: 'utf-8' codec can't decode byte 0xe9"
+      ' in position 18: invalid continuation byte\n')),
+    # a store that is not a bit string is refused, a list of one bit and
+    # an int alike
+    (['compose', '{dir}/list-store.json', '{dir}/one-state.json'],
+     3, '',
+     "kind error: bad serialized store ['0']\n"),
+    (['compose', '{dir}/int-store.json', '{dir}/one-state.json'],
+     3, '',
+     'kind error: bad serialized store 0\n'),
+    # a line end inside a bad argument stays on the one stderr line
+    (['eval', 'v', '--x\ny'],
+     2, '',
+     'effdiag: error: unrecognized arguments: --x\\ny\n'),
+    (['eval', 'v', '--x\ry'],
+     2, '',
+     'effdiag: error: unrecognized arguments: --x\\ry\n'),
+    # no location or exception label is named by the empty string
+    (['eval', '-m', 'state', '--locations', '', 'v'],
+     3, '',
+     "kind error: empty location in ('',)\n"),
+    (['eval', '-m', 'state', '--locations', 'l0,,l1', 'v'],
+     3, '',
+     "kind error: empty location in ('l0', '', 'l1')\n"),
+    (['eval', '-m', 'exc', '--exceptions', '', 'v'],
+     3, '',
+     "kind error: empty exception label in ('',)\n"),
+    (['laws', '--monads', 'exc', '--exceptions', 'err,'],
+     3, '',
+     "kind error: empty exception label in ('err', '')\n"),
+    (['compose', '{dir}/empty-location.json', '{dir}/empty-location.json'],
+     3, '',
+     "kind error: empty location in ('',)\n"),
 ]
 
 

@@ -90,6 +90,54 @@ class TestFormat:
                            match=f"^bad serialized {re.escape(message)}$"):
             serialize.loads(text)
 
+    @pytest.mark.parametrize("text, want", [
+        ('{"kind":"dist","entries":[["a","3/4"],["b","3/4"]]}',
+         "total mass 3/2 exceeds 1"),
+        ('{"kind":"dist","entries":[["a","0"],["b","1/2"]]}',
+         ed.MonadValue(ed.DIST, {"b": F(1, 2)})),
+        ('{"kind":"dist","entries":[["a","0"],["a","1/2"]]}',
+         "bad serialized dist value: entries list an element twice"),
+        ('{"kind":"state","locations":["l0"],"table":[["0",["a","0"]]]}',
+         "store (1,) missing from state table"),
+        ('{"kind":"state","locations":["l0"],"table":[["0",["a","0"]],'
+         '["1",["a","2"]]]}',
+         "bad serialized store '2'"),
+        ('{"kind":"state","locations":["l0"],"table":[["1",["a","0"]],'
+         '["1",["b","1"]]]}',
+         "bad serialized state value: table lists a store twice"),
+        ('{"kind":"output","alphabet":["a"],"out":"ab","value":1}',
+         "output string 'ab' not over the alphabet"),
+        ('{"kind":"output","alphabet":["a"],"out":1,"value":1}',
+         "output string 1 not over the alphabet"),
+        ('{"kind":"output","alphabet":["a"],"out":"a","raised":"a"}',
+         "bad output tail Raised(label='a')"),
+        ('{"kind":"maybe","raised":"e"}',
+         "bad maybe payload: Raised(label='e')"),
+        ('{"kind":"exc","exceptions":["err"],"raised":"boom"}',
+         "unknown exception label 'boom'"),
+        ('{"kind":"set","elements":["a",1,"a"]}',
+         ed.MonadValue(ed.POWERSET, frozenset({"a", 1}))),
+    ], ids=["dist-mass", "dist-zero", "dist-zero-twice", "state-missing",
+            "state-successor", "state-twice", "output-char", "output-out",
+            "output-raised", "maybe-raised", "exc-label", "set-duplicates"])
+    def test_reading_checks_what_normalise_checks(self, text, want):
+        # each row is one body and its exact KindError text, or its value
+        if isinstance(want, str):
+            with pytest.raises(ed.KindError, match=f"^{re.escape(want)}$"):
+                serialize.loads(text)
+        else:
+            assert serialize.loads(text) == want
+
+    def test_state_tables_read_in_store_order(self):
+        mu = serialize.loads(
+            '{"kind":"state","locations":["l0"],"table":[["1",["b","1"]],'
+            '["0",["a","0"]]]}')
+        assert list(mu.payload) == [(0,), (1,)]
+        assert ed.decompose(mu).row == ("a", "b")
+        assert serialize.dumps(mu) == (
+            '{"kind":"state","locations":["l0"],"table":[["0",["a","0"]],'
+            '["1",["b","1"]]]}')
+
     def test_bottom_false_beside_a_value_reads_the_value(self):
         assert serialize.loads('{"kind":"maybe","value":"a","bottom":false}') \
             == ed.unit(ed.MAYBE, "a")
