@@ -103,18 +103,12 @@ def _cmd_compose(args) -> int:
 
 def _cmd_laws(args) -> int:
     from .lawcheck import ALL_LAWS, LawSuiteConfig, run_law_suite
-    tags = args.monads.split(",") if args.monads else INSTANCES
-    kinds = tuple(instance(tag.strip()).kind_from_text(vars(args))
-                  for tag in tags if tag.strip())
-    if args.laws is None:
-        laws = ALL_LAWS
-    else:
-        laws = tuple(name.strip()
-                     for name in args.laws.split(",") if name.strip())
+    kinds = tuple(instance(tag).kind_from_text(vars(args))
+                  for tag in args.monads or INSTANCES)
     cfg = LawSuiteConfig(seed=args.seed, trials=args.trials,
                          carrier_size_max=args.carrier_max,
                          arity_max=args.arity_max,
-                         monads=kinds, laws=laws)
+                         monads=kinds, laws=args.laws or ALL_LAWS)
     report = run_law_suite(cfg)
     if args.format == "machine":
         print(json.dumps(report.to_obj(), ensure_ascii=False))
@@ -135,6 +129,14 @@ def _cmd_laws(args) -> int:
         status = "met" if report.ok else "NOT met"
         print(f"expectations {status} (seed={report.seed})")
     return 0 if report.ok else 1
+
+
+def _names(text: str) -> tuple:
+    """A comma-separated list, which must name something."""
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"names nothing: {text!r}")
+    return names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[texts, fmt])
     p_laws.add_argument("--seed", type=int, default=1)
     p_laws.add_argument("--trials", type=int, default=50)
-    p_laws.add_argument("--laws", default=None,
+    p_laws.add_argument("--laws", type=_names,
                         help="comma-separated law identifiers")
-    p_laws.add_argument("--monads", default=None,
+    p_laws.add_argument("--monads", type=_names,
                         help="comma-separated monad tags")
     p_laws.add_argument("--carrier-max", type=int, default=4)
     p_laws.add_argument("--arity-max", type=int, default=4)

@@ -2,16 +2,16 @@
 
 Each law is one entry of ``_LAWS``, the only list of laws (``ALL_LAWS``
 is its keys): a predicate that returns a witness dict for a violating
-case or None, its deterministic first cases, an endless generator of
-seeded random cases over a carrier and an arity bound, and a shrinker
-(algebraicity only).  Every predicate lives here.  Kleisli maps in a
-case are tables, so small scopes enumerate; a drawn table draws each
-entry when it is first read, and a witness copies the entries that were
-read.  ``_run`` feeds an entry to ``_search``, the one loop, which stops
-at the first violation and shrinks a drawn witness.  ``run_law_suite``,
-``check_commutative``, ``check_algebraic`` (which adds an exhaustive
-small-scope prefix) and ``replay`` share the predicates, and every search
-yields a ``LawResult``, the one report type.
+case or None, its deterministic first cases, and an endless generator of
+seeded random cases over a carrier and an arity bound.  Every predicate
+lives here.  Kleisli maps in a case are tables, so small scopes
+enumerate; a drawn table draws each entry when it is first read, and a
+witness copies the entries that were read.  ``_run`` feeds an entry to
+``_search``, the one loop, which stops at the first violating case and
+reports it as found in a ``LawResult``, the one report type.
+``run_law_suite``, ``check_commutative``, ``check_algebraic`` (which
+adds an exhaustive small-scope prefix) and ``replay`` share the
+predicates, and every search is a ``_search``.
 
 The default instances are every entry of ``monads.INSTANCES`` at its
 command-line default.  Each (law, monad) cell seeds its own
@@ -133,35 +133,21 @@ class SuiteReport:
                 "results": [r.to_obj() for r in self.results]}
 
 
-def _search(violation: Callable[..., Optional[dict]], fixed: Iterable,
-            randoms: Iterable, shrink: Optional[Callable] = None) \
-        -> tuple[bool, int, Optional[dict]]:
-    """Try cases until one violates; return (passed, trials, witness).
+def _search(law: str, kind: MonadKind, seed: int,
+            violation: Callable[..., Optional[dict]],
+            cases: Iterable) -> LawResult:
+    """Try ``cases`` in order until one violates ``law`` on ``kind``.
 
     A case is the argument tuple of ``violation``, which returns a
-    witness dict or None when the law holds.  A witness from the
-    deterministic ``fixed`` cases is already minimal and is reported as
-    found.  A witness from ``randoms`` is shrunk greedily: the first of
-    ``shrink(*case)`` that still violates replaces the case, until none
-    does.
+    witness dict or None when the law holds.  The report counts the
+    cases tried and carries the first witness as found.
     """
     trials = 0
-    for cases, shrinks in ((fixed, None), (randoms, shrink)):
-        for case in cases:
-            trials += 1
-            witness = violation(*case)
-            if witness is None:
-                continue
-            while shrinks is not None:
-                for smaller in shrinks(*case):
-                    found = violation(*smaller)
-                    if found is not None:
-                        case, witness = smaller, found
-                        break
-                else:
-                    break
-            return False, trials, witness
-    return True, trials, None
+    for trials, case in enumerate(cases, 1):
+        witness = violation(*case)
+        if witness is not None:
+            return LawResult(law, kind, False, trials, seed, witness)
+    return LawResult(law, kind, True, trials, seed)
 
 
 def algebraic_violation(op: DerivedOperation, args: Sequence[MonadValue],
@@ -174,15 +160,6 @@ def algebraic_violation(op: DerivedOperation, args: Sequence[MonadValue],
         return None
     return {"args": list(args), "kleisli": dict(table),
             "lhs": lhs, "rhs": rhs}
-
-
-def _algebraic_shrinks(op: DerivedOperation, args, table: dict):
-    """The case with one argument replaced by bottom or a unit of it."""
-    for i, arg in enumerate(args):
-        smaller = [unit(arg.kind, x) for x in support(arg)[:2]]
-        for candidate in [bottom(arg.kind), *smaller]:
-            if candidate != arg:
-                yield op, [*args[:i], candidate, *args[i + 1:]], table
 
 
 def _algebraic_cases(ops: list, rng: random.Random, domain, codomain):
@@ -426,27 +403,23 @@ def _exchange_cases(kind, rng, carrier, arity_max):
             for _ in range(left.arity)]
 
 
-# law -> (violation, fixed, cases, shrink); ``fixed(kind)`` gives the
-# deterministic first cases, ``cases(kind, rng, carrier, arity_max)``
-# draws the rest, and only algebraicity has a shrinker
+# law -> (violation, fixed, cases); ``fixed(kind)`` gives the
+# deterministic first cases and ``cases(kind, rng, carrier, arity_max)``
+# draws the rest
 _LAWS: dict[str, tuple] = {
-    "kleisli": (_kleisli_violation, None, _kleisli_cases, None),
-    "algebraicity": (algebraic_violation, None, _algebraicity_cases,
-                     _algebraic_shrinks),
-    "unit": (_unit_violation, None, _unit_cases, None),
-    "associativity": (_associativity_violation, None, _associativity_cases,
-                      None),
-    "composition": (_composition_violation, None, _composition_cases, None),
-    "binding": (_binding_violation, None, _binding_cases, None),
-    "congruence": (_congruence_violation, None, _congruence_cases, None),
-    "monotonicity": (_monotonicity_violation, None, _monotonicity_cases,
-                     None),
-    "bottom": (_bottom_violation, None, _bottom_cases, None),
+    "kleisli": (_kleisli_violation, None, _kleisli_cases),
+    "algebraicity": (algebraic_violation, None, _algebraicity_cases),
+    "unit": (_unit_violation, None, _unit_cases),
+    "associativity": (_associativity_violation, None, _associativity_cases),
+    "composition": (_composition_violation, None, _composition_cases),
+    "binding": (_binding_violation, None, _binding_cases),
+    "congruence": (_congruence_violation, None, _congruence_cases),
+    "monotonicity": (_monotonicity_violation, None, _monotonicity_cases),
+    "bottom": (_bottom_violation, None, _bottom_cases),
     "absorption": (_absorption_violation,
                    lambda kind: ((kind, eff) for eff in basic_effects(kind)),
-                   _absorption_cases, None),
-    "commutativity": (exchange_violation, _exchange_fixed, _exchange_cases,
-                      None),
+                   _absorption_cases),
+    "commutativity": (exchange_violation, _exchange_fixed, _exchange_cases),
 }
 
 
@@ -490,17 +463,16 @@ class LawSuiteConfig:
 
 
 def _run(law: str, kind: MonadKind, rng: random.Random,
-         cfg: LawSuiteConfig) -> tuple[bool, int, Optional[dict]]:
+         cfg: LawSuiteConfig) -> LawResult:
     """Search one law on one instance: fixed cases, then drawn ones."""
-    violation, fixed, cases, shrink = _LAWS[law]
+    violation, fixed, cases = _LAWS[law]
     drawn = cases(kind, rng, gen.LETTERS[:cfg.carrier_size_max],
                   cfg.arity_max)
-    return _search(violation, fixed(kind) if fixed else (),
-                   itertools.islice(drawn, cfg.trials), shrink)
+    return _search(law, kind, cfg.seed, violation, itertools.chain(
+        fixed(kind) if fixed else (), itertools.islice(drawn, cfg.trials)))
 
 
-def _run_cell(cell: tuple, cfg: LawSuiteConfig) \
-        -> tuple[bool, int, Optional[dict]]:
+def _run_cell(cell: tuple, cfg: LawSuiteConfig) -> LawResult:
     law, kind = cell
     return _run(law, kind, gen.Draws(f"{cfg.seed}:{law}:{kind.tag}"), cfg)
 
@@ -517,7 +489,7 @@ def _usable_cpus() -> int:
 
 
 def _run_cells(cells: list, cfg: LawSuiteConfig) -> list:
-    """Every cell's (passed, trials, witness), in the order of ``cells``.
+    """Every cell's ``LawResult``, in the order of ``cells``.
 
     This process runs the white squares of a checkerboard over the
     law-major (law, instance) grid.  After each, it forks a child for the
@@ -525,7 +497,7 @@ def _run_cells(cells: list, cfg: LawSuiteConfig) -> list:
     the cells both would run at once (the white ones left, at most the
     black ones) exceeds ``_FORK_S``, and ``os.fork``, a second usable CPU
     and no other thread allow it; so two cells never fork.  The child
-    pickles its outcomes into a pipe and leaves through ``os._exit``,
+    pickles its ``LawResult``s into a pipe and leaves through ``os._exit``,
     flushing no inherited stream.  Any cell left without an outcome runs
     here, so an error surfaces as it would without the child.
     """
@@ -585,10 +557,7 @@ def _run_cells(cells: list, cfg: LawSuiteConfig) -> list:
 def run_law_suite(cfg: LawSuiteConfig) -> SuiteReport:
     """Run every configured law against every configured instance."""
     cells = [(law, kind) for law in cfg.laws for kind in cfg.monads]
-    return SuiteReport(cfg.seed, [
-        LawResult(law, kind, passed, trials, cfg.seed, witness)
-        for (law, kind), (passed, trials, witness)
-        in zip(cells, _run_cells(cells, cfg))])
+    return SuiteReport(cfg.seed, _run_cells(cells, cfg))
 
 
 def check_algebraic(op: DerivedOperation, trials: int = 100,
@@ -599,8 +568,9 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
     3-element carriers with at most 256 Kleisli tables: ``maybe`` and
     ``exc`` with one or two labels, not ``set`` (512) or ``exc`` with
     three or more (343 and up).  Then come ``trials`` seeded random
-    cases.  A failure report carries the arguments, the entries of the
-    function table that the check read, and both sides.
+    cases.  A failure report carries the first violating case: its
+    arguments, the entries of the function table that the check read,
+    and both sides.
     """
     if not isinstance(op, DerivedOperation):
         raise TypeError(f"expected a DerivedOperation, got {op!r}")
@@ -615,10 +585,8 @@ def check_algebraic(op: DerivedOperation, trials: int = 100,
                  for args in itertools.product(values, repeat=op.arity)
                  for table in tables)
     randoms = _algebraic_cases([op], gen.Draws(seed), domain, codomain)
-    passed, ran, witness = _search(algebraic_violation, fixed,
-                                   itertools.islice(randoms, trials),
-                                   _algebraic_shrinks)
-    return LawResult("algebraicity", op.kind, passed, ran, seed, witness)
+    return _search("algebraicity", op.kind, seed, algebraic_violation,
+                   itertools.chain(fixed, itertools.islice(randoms, trials)))
 
 
 def check_commutative(kind: MonadKind, trials: int = 50,
@@ -629,11 +597,10 @@ def check_commutative(kind: MonadKind, trials: int = 50,
     effects runs first, followed by seeded random pairs with arities up
     to 3.  Every instance that breaks the law already does so on the
     deterministic pairs (two signature effects, or one against bottom),
-    so a witness is always one of them and is reported unshrunk.
+    so a witness is always one of them.
     """
-    passed, ran, witness = _run("commutativity", kind, gen.Draws(seed),
-                                LawSuiteConfig(seed, trials, monads=(kind,)))
-    return LawResult("commutativity", kind, passed, ran, seed, witness)
+    return _run("commutativity", kind, gen.Draws(seed),
+                LawSuiteConfig(seed, trials, monads=(kind,)))
 
 
 def replay(law: str, kind: MonadKind, counterexample: Mapping) -> bool:

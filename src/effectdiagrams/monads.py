@@ -78,8 +78,9 @@ class MonadKind:
     way to build a kind, whose JSON envelope lives only in ``serialize``.
 
     ``params`` holds the exception labels of ``exc``, the locations of
-    ``state`` or the characters of ``output``, stored as a tuple without
-    duplicates; it is empty for an instance whose ``param`` is ``None``.
+    ``state`` or the characters of ``output``, stored as a tuple of
+    strings without duplicates; it is empty for an instance whose
+    ``param`` is ``None``.
     """
 
     tag: str
@@ -94,6 +95,8 @@ class MonadKind:
             raise KindError(
                 f"duplicate entries in {inst.param}: {self.params!r}")
         inst.check_kind(self)
+        if not all(isinstance(p, str) for p in self.params):
+            raise KindError(f"{inst.param} must be text: {self.params!r}")
 
 
 @dataclass(frozen=True, init=False)

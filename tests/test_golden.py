@@ -143,6 +143,13 @@ FILES.update({
     'empty-location.json':
         ('{"effect":{"arity":1,"body":{"kind":"state","locations":[""]'
          ',"table":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
+    # an exception label and a location that are not text
+    'int-label.json':
+        ('{"effect":{"arity":0,"body":{"kind":"exc","exceptions":[1],"raised'
+         '":1}},"row":[]}\n'),
+    'int-location.json':
+        ('{"effect":{"arity":1,"body":{"kind":"state","locations":[1],"table'
+         '":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
 })
 
 
@@ -1056,6 +1063,18 @@ CASES = [
     (['compose', '{dir}/empty-location.json', '{dir}/empty-location.json'],
      3, '',
      "kind error: empty location in ('',)\n"),
+    # an exception label or a location is text
+    (['compose', '{dir}/int-label.json'],
+     3, '',
+     'kind error: exceptions must be text: (1,)\n'),
+    (['compose', '{dir}/int-location.json', '{dir}/int-location.json'],
+     3, '',
+     'kind error: locations must be text: (1,)\n'),
+    # a --laws or --monads list that names nothing is a bad argument
+    *[(['laws', option, text], 2, '',
+       f'effdiag laws: error: argument {option}: names nothing: {shown}\n')
+      for option in ('--laws', '--monads')
+      for text, shown in (('', "''"), (',', "','"), (' , ', "' , '"))],
 ]
 
 

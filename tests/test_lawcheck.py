@@ -319,6 +319,25 @@ class TestAlgebraicExhaustivePass:
         assert _exhaustive_cases(ed.MonadKind("exc", labels)) == cases
 
 
+def test_check_algebraic_reports_the_first_violating_case():
+    # keeps the first element of its argument, dropping every weight; dist
+    # has no exhaustive pass, so the cases are the drawn ones alone
+    def head_or_bottom(mu):
+        elems = ed.support(mu)
+        return ed.unit(ed.DIST, elems[0]) if elems else ed.bottom(ed.DIST)
+
+    op = ed.DerivedOperation(ed.DIST, 1, head_or_bottom)
+    cases = lawcheck._algebraic_cases([op], gen.Draws(3), gen.LETTERS[:3],
+                                      ("x", "y", "z"))
+    for position, case in enumerate(cases, 1):
+        witness = lawcheck.algebraic_violation(*case)
+        if witness is not None:
+            break
+    report = ed.check_algebraic(op, trials=200, seed=3)
+    assert report.trials == position
+    assert dict(report.counterexample) == witness
+
+
 def _dist_join_drops_last_branch(self, payload, outs):
     return _DIST_JOIN(self, dict(list(payload.items())[:-1]), outs)
 
@@ -581,14 +600,14 @@ def _no_children_left():
 
 def _planted_unit(tag):
     """The unit law's row, with a predicate that raises on ``tag``."""
-    violation, fixed, cases, shrink = lawcheck._LAWS["unit"]
+    violation, fixed, cases = lawcheck._LAWS["unit"]
 
     def planted(xi):
         if xi.kind.tag == tag:
             raise ZeroDivisionError(f"planted on {tag}")
         return violation(xi)
 
-    return planted, fixed, cases, shrink
+    return planted, fixed, cases
 
 
 class TestTwoProcesses:

@@ -828,6 +828,9 @@ class TestKindErrorMessages:
         (lambda: serialize.loads(
             '{"kind":"state","locations":"l0","table":[]}'),
          "locations 'l0' is not a list"),
+        (lambda: ed.exception_kind((1,)),
+         r"exceptions must be text: \(1,\)"),
+        (lambda: ed.state_kind((1,)), r"locations must be text: \(1,\)"),
     ])
     def test_message(self, build, message):
         with pytest.raises(ed.KindError, match=message):
