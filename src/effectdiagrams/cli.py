@@ -132,10 +132,12 @@ def _cmd_laws(args) -> int:
 
 
 def _names(text: str) -> tuple:
-    """A comma-separated list, which must name something."""
+    """A comma-separated list, which must name something, each once."""
     names = tuple(name.strip() for name in text.split(",") if name.strip())
     if not names:
         raise argparse.ArgumentTypeError(f"names nothing: {text!r}")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"names an entry twice: {text!r}")
     return names
 
 

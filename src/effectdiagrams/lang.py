@@ -39,9 +39,9 @@ the operation over the arguments returns a value, since a state
 argument may return values only at stores that the operation routes to
 another argument.
 
-Terms are frozen ``Var``, ``Abs``, ``App`` and ``Op`` nodes, and their
-constructors are the only way they are built: by the parser, by
-``substitute`` and by callers alike.
+Terms are frozen ``Var``, ``Abs``, ``App`` and ``Op`` nodes, built only by
+their constructors.  A bracket entry matches ``monads.NAME``, as every
+kind's parameters do; a prelude's definition name is one identifier.
 
 Operation arguments and applications evaluate left to right.  Note the
 evaluation order inside an operation is a choice this module makes; for
@@ -58,7 +58,7 @@ from typing import Mapping, Optional
 
 from .algebra import seq_compose
 # SignatureError is re-exported: parsing and evaluation raise it
-from .monads import (INSTANCES, ArityError, MonadKind, MonadValue,
+from .monads import (INSTANCES, NAME, ArityError, MonadKind, MonadValue,
                      OpDescriptor, SignatureError, _trusted, bind, bottom,
                      map_carrier, op_apply, op_effect, unit)
 from .presentations import Presentation, decompose
@@ -247,10 +247,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
         if c in " \t\r\n":
             i += 1
         elif bracket and c not in ",]":
-            # a bracket entry is any text up to whitespace, "," or "]"
-            start = i
-            while i < n and src[i] not in " \t\r\n,]":
-                i += 1
+            i = NAME.match(src, start := i).end()
             tokens.append(("index", src[start:i], start))
         elif c == "#":
             while i < n and src[i] != "\n":
@@ -582,7 +579,11 @@ def parse_defs(src: str, kind: Optional[MonadKind] = None) -> dict:
             continue
         name, eq, rhs = line.partition("=")
         name = name.strip()
-        if not eq or not name.isidentifier():
+        try:
+            token = _tokenize(name)[0]
+        except ParseError:
+            token = None
+        if not eq or token != ("ident", name, 0):
             raise ParseError(f"bad definition line: {raw!r}", 0)
         if name in OP_FAMILIES:
             raise ParseError(f"{name!r} is a reserved operation name", 0)

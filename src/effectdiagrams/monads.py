@@ -20,7 +20,7 @@ generic effect, a payload over ``1..arity`` (Plotkin and Power, 2003);
 ``op_apply`` is ``join`` over that effect, so every operation is
 algebraic by the Kleisli laws.  ``MonadValue(kind, payload)`` validates
 its payload; values built here from values that are already valid skip
-that check.
+that check.  A kind's parameters match ``NAME``, so programs can write them.
 
 Values are immutable after construction and every function here is pure,
 so values may be shared and used from multiple threads freely.
@@ -40,6 +40,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 MAX_LOCATIONS = 4
+NAME = re.compile(r"[^ \t\r\n,\]]+")  # no whitespace, "," or "]"
 
 
 class KindError(ValueError):
@@ -97,6 +98,8 @@ class MonadKind:
         inst.check_kind(self)
         if not all(isinstance(p, str) for p in self.params):
             raise KindError(f"{inst.param} must be text: {self.params!r}")
+        if not all(map(NAME.fullmatch, self.params)):
+            raise KindError(f"{inst.param} must be names: {self.params!r}")
 
 
 @dataclass(frozen=True, init=False)

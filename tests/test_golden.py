@@ -150,6 +150,14 @@ FILES.update({
     'int-location.json':
         ('{"effect":{"arity":1,"body":{"kind":"state","locations":[1],"table'
          '":[["0",[1,"0"]],["1",[1,"1"]]]}},"row":["c"]}\n'),
+    # an exception label that no program can write between brackets
+    'spaced-label.json':
+        ('{"effect":{"arity":0,"body":{"kind":"exc","exceptions":["a b"],"r'
+         'aised":"a b"}},"row":[]}\n'),
+    # a prelude name that programs read as one identifier, and one they
+    # do not
+    'prime.lam': "f' = \\x. x\n",
+    'dash.lam': 'x-y = v\n',
 })
 
 
@@ -1075,6 +1083,46 @@ CASES = [
        f'effdiag laws: error: argument {option}: names nothing: {shown}\n')
       for option in ('--laws', '--monads')
       for text, shown in (('', "''"), (',', "','"), (' , ', "' , '"))],
+    # a label, location or character is a name a program can write
+    # between brackets: no whitespace, ',' or ']'
+    (['compose', '{dir}/spaced-label.json'],
+     3, '',
+     "kind error: exceptions must be names: ('a b',)\n"),
+    (['eval', '-m', 'exc', '--exceptions', 'a b', 'raise[a b]()'],
+     3, '',
+     "kind error: exceptions must be names: ('a b',)\n"),
+    (['eval', '-m', 'state', '--locations', 'l0, l1', 'v'],
+     3, '',
+     "kind error: locations must be names: ('l0', ' l1')\n"),
+    (['eval', '-m', 'output', '--alphabet', 'a,b', 'v'],
+     3, '',
+     "kind error: alphabet must be names: ('a', ',', 'b')\n"),
+    (['eval', '-m', 'output', '--alphabet', ' ,', 'v'],
+     3, '',
+     "kind error: alphabet must be names: (' ', ',')\n"),
+    # a definition name is one identifier, as programs read it
+    (['eval', '--prelude', '{dir}/prime.lam', "f' v"],
+     0, 'v\n',
+     ''),
+    (['eval', '--prelude', '{dir}/dash.lam', 'v'],
+     2, '',
+     "parse error: bad definition line: 'x-y = v' (at offset 0)\n"),
+    # an index list with an empty entry
+    (['eval', '-m', 'exc', 'raise[]()'],
+     2, '',
+     "parse error: bad index ']' (at offset 6)\n"),
+    (['eval', '-m', 'state', 'read[l0,](a, b)'],
+     2, '',
+     "parse error: bad index ']' (at offset 8)\n"),
+    # a --laws or --monads list names each entry once
+    (['laws', '--laws', 'unit,unit', '--monads', 'set', '--trials', '2'],
+     2, '',
+     "effdiag laws: error: argument --laws: names an entry twice: "
+     "'unit,unit'\n"),
+    (['laws', '--monads', 'maybe, maybe'],
+     2, '',
+     "effdiag laws: error: argument --monads: names an entry twice: "
+     "'maybe, maybe'\n"),
 ]
 
 

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import effectdiagrams as ed
@@ -395,6 +395,41 @@ class TestPrelude:
         defs = ed.parse_defs("# a comment line\n"
                              "p = print[#](v)  # a comment = after a term\n")
         assert defs == {"p": ed.parse("print[#](v)")}
+
+    @pytest.mark.parametrize("name", ["f'", "x\u00b2", "\u00e9", "_1"])
+    def test_definition_names_are_identifiers_as_programs_read_them(
+            self, name):
+        defs = ed.parse_defs(f"{name} = \\x. x")
+        assert ed.parse(f"{name} v", defs=defs) == \
+            App(Abs("x", Var("x")), Var("v"))
+
+    # text that is not one identifier token: a dash, a comment, a
+    # decomposed "e" with its accent, a middle dot, a Roman numeral, two
+    # identifiers, a number and a parenthesis
+    @pytest.mark.parametrize("name", [
+        "x-y", "f # c", "e\u0301", "a\u00b7b", "\u2160", "f g", "1", "("])
+    def test_other_definition_names_are_bad_lines(self, name):
+        with pytest.raises(ed.ParseError, match="bad definition line"):
+            ed.parse_defs(f"{name} = v")
+
+
+class TestBracketNames:
+    """``monads.NAME`` is the one rule for a bracket name, so a kind holds
+    only labels, locations and characters that a program can write."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tag=st.sampled_from(["exc", "state", "output"]),
+           names=st.lists(st.text(), max_size=4), alphabet=st.text())
+    @example(tag="exc", names=["a b"], alphabet="")
+    def test_every_operation_prints_as_text_that_parses_back(
+            self, tag, names, alphabet):
+        try:
+            kind = ed.MonadKind(tag, alphabet if tag == "output" else names)
+        except ed.KindError:
+            assume(False)
+        for desc in ed.signature(kind):
+            term = Op(desc, [Var(f"x{i}") for i in range(desc.arity)])
+            assert ed.parse(str(term), kind) == term
 
 
 def _outcome(evaluate, term, kind, fuel):

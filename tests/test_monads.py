@@ -831,6 +831,13 @@ class TestKindErrorMessages:
         (lambda: ed.exception_kind((1,)),
          r"exceptions must be text: \(1,\)"),
         (lambda: ed.state_kind((1,)), r"locations must be text: \(1,\)"),
+        # a label, location or character is a name a program can write
+        (lambda: ed.exception_kind(("a b",)),
+         r"exceptions must be names: \('a b',\)"),
+        (lambda: ed.state_kind(("x]",)),
+         r"locations must be names: \('x\]',\)"),
+        (lambda: ed.output_kind(" "), r"alphabet must be names: \(' ',\)"),
+        (lambda: ed.output_kind(","), r"alphabet must be names: \(',',\)"),
     ])
     def test_message(self, build, message):
         with pytest.raises(ed.KindError, match=message):
