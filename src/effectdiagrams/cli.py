@@ -20,10 +20,10 @@ line on stderr (``effdiag <command>: error: ...`` for a bad argument,
 with a line end inside an argument shown as ``\\n`` or ``\\r``), and
 ``main`` returns every code rather than raising ``SystemExit``.
 
-An argv whose first word names a subcommand is parsed in one argparse
-pass, by that subcommand's parser, with what it leaves over reported as
-the top-level parser reports it; every other argv goes through the
-top-level parser.  The law suite is imported by ``laws`` alone.
+An argv of options spelled as declared, each with one plain value, before
+the positional words is read straight from its subcommand's declared
+actions (``_read_plain``); argparse reads every other argv and writes
+every message.  The law suite is imported by ``laws`` alone.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from gettext import gettext
 
 from . import presentations, serialize
-from .lang import (DEFAULT_PRELUDE, EvalError, ParseError, default_defs,
-                   eval_diagram, evaluate, parse, parse_defs)
+from .lang import (EvalError, ParseError, default_defs, eval_diagram,
+                   evaluate, parse, parse_defs)
 from .algebra import seq_compose
 from .monads import (ArityError, INSTANCES, KindError, SignatureError,
                      instance)
@@ -52,9 +51,9 @@ def _load_program(spec: str) -> str:
 def _parse_program(args) -> tuple:
     kind = instance(args.monad).kind_from_text(vars(args))
     if args.prelude:
-        # the file continues the default prelude, so it sees its names
-        with open(args.prelude, encoding="utf-8") as handle:
-            defs = parse_defs(DEFAULT_PRELUDE + handle.read(), kind=kind)
+        # newline="": error offsets count each line end as the file has it
+        with open(args.prelude, encoding="utf-8", newline="") as handle:
+            defs = parse_defs(handle.read(), kind=kind, defs=default_defs())
     else:
         defs = default_defs()
     term = parse(_load_program(args.program), kind=kind, defs=defs)
@@ -163,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate effectful programs and work with their "
                     "effect/value presentations.")
     subs = parser.add_subparsers(dest="command", required=True)
-    # each subcommand's parser by name, for main's one-pass dispatch
+    # each subcommand's parser by name, for the plain reader
     parser.commands = subs.choices
 
     for name, func, text in (
@@ -203,25 +202,53 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _parse_args(argv):
-    """What ``_PARSER.parse_args(argv)`` gives, in one argparse pass when
-    ``argv`` starts with a subcommand: the top level would hand that
-    subcommand's parser the rest and report its leftovers itself."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _value(action, word: str):
+    if not word or word[0] == "-":
+        raise ValueError(word)
+    value = word if action.type is None else action.type(word)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(word)
+    return value
+
+
+def _read_plain(argv):
+    """``_PARSER.parse_args(argv)``, read from the declared actions of
+    argv's subcommand when every option is spelled as declared and takes
+    one value, before the positionals; ``None`` for any other argv and
+    for a value that is empty, starts with "-" or is refused by its type
+    or choices, so that argparse writes every message."""
     sub = _PARSER.commands.get(argv[0]) if argv else None
     if sub is None:
-        return _PARSER.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        _PARSER.error(gettext("unrecognized arguments: %s")
-                      % " ".join(extra))
-    args.command = argv[0]
+        return None
+    ns = vars(args := argparse.Namespace())
+    ns.update({"command": argv[0], **sub._defaults, **{
+        a.dest: a.default for a in sub._actions
+        if a.default is not argparse.SUPPRESS}})
+    slots, i = [a for a in sub._actions if not a.option_strings], 1
+    try:
+        while i < len(argv) and argv[i][:1] == "-":
+            action = sub._option_string_actions.get(argv[i])
+            if type(action) is not argparse._StoreAction \
+                    or action.nargs is not None or i + 1 == len(argv):
+                return None
+            ns[action.dest] = _value(action, argv[i + 1])
+            i += 2
+        rest, nargs = argv[i:], [a.nargs for a in slots]
+        if nargs == ["+"] and rest:
+            ns[slots[0].dest] = [_value(slots[0], w) for w in rest]
+        elif nargs == [None] * len(rest):
+            ns.update((a.dest, _value(a, w)) for a, w in zip(slots, rest))
+        else:
+            return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
     return args
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
+        args = _read_plain(argv) or _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         # a bad argument (2) or --help (0), whose text argparse wrote

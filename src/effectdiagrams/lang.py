@@ -52,7 +52,8 @@ arguments can change the result.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -69,7 +70,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 class EvalError(ValueError):
@@ -79,21 +80,35 @@ class EvalError(ValueError):
 class Term:
     """Base class for syntax nodes.
 
-    Every node carries ``_fv``, its set of free variables, computed once
-    when it is built; it takes no part in ``==``, ``hash`` or ``repr``.
-    Each constructor fills the frozen fields directly rather than through
+    ``_fv``, a node's set of free variables, is computed on first read, by
+    an explicit stack, and cached outside ``==``, ``hash`` and ``repr``; a
+    ``Var`` and the nodes that substitution builds get theirs when built.
+    Constructors fill the frozen fields directly, not through
     ``object.__setattr__``; a child that is not a ``Term`` raises
-    ``TypeError``, and an ``Op`` with the wrong number of arguments
-    ``ArityError``.
+    ``TypeError``, and an ``Op`` with the wrong arity ``ArityError``.
     """
 
     __slots__ = ()
+
+    @cached_property
+    def _fv(self) -> frozenset:
+        todo = [self]
+        while todo:
+            t = todo[-1]
+            kids = (t.body,) if isinstance(t, Abs) else \
+                (t.fn, t.arg) if isinstance(t, App) else t.args
+            missing = [k for k in kids if "_fv" not in vars(k)]
+            todo += missing
+            if not missing:
+                todo.pop()
+                fv = frozenset().union(*[k._fv for k in kids])
+                vars(t)["_fv"] = fv - {t.param} if isinstance(t, Abs) else fv
+        return vars(self)["_fv"]
 
 
 @dataclass(frozen=True, init=False)
 class Var(Term):
     name: str
-    _fv: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str):
         self.__dict__.update(name=name, _fv=frozenset((name,)))
@@ -106,11 +121,16 @@ class Var(Term):
 class Abs(Term):
     param: str
     body: Term
-    _fv: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, param: str, body: Term):
-        self.__dict__.update(param=param, body=body,
-                             _fv=free_vars(body) - {param})
+        if not isinstance(body, Term):
+            raise TypeError(f"not a term: {body!r}")
+        self.__dict__.update(param=param, body=body)
+
+    @cached_property
+    def _ignores(self) -> bool:
+        # true from the start for the abstraction that ";" builds
+        return self.param not in self.body._fv
 
     def __str__(self):
         return f"\\{self.param}. {self.body}"
@@ -120,11 +140,12 @@ class Abs(Term):
 class App(Term):
     fn: Term
     arg: Term
-    _fv: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, fn: Term, arg: Term):
-        self.__dict__.update(fn=fn, arg=arg,
-                             _fv=free_vars(fn) | free_vars(arg))
+        if not (isinstance(fn, Term) and isinstance(arg, Term)):
+            bad = arg if isinstance(fn, Term) else fn
+            raise TypeError(f"not a term: {bad!r}")
+        self.__dict__.update(fn=fn, arg=arg)
 
     def __str__(self):
         fn = f"({self.fn})" if isinstance(self.fn, Abs) else str(self.fn)
@@ -137,15 +158,16 @@ class App(Term):
 class Op(Term):
     op: OpDescriptor
     args: tuple
-    _fv: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, op: OpDescriptor, args):
         args = tuple(args)
         if len(args) != op.arity:
             raise ArityError(
                 f"{op.name} expects {op.arity} arguments, got {len(args)}")
-        self.__dict__.update(op=op, args=args, _fv=frozenset().union(
-            *map(free_vars, args)))
+        for arg in args:
+            if not isinstance(arg, Term):
+                raise TypeError(f"not a term: {arg!r}")
+        self.__dict__.update(op=op, args=args)
 
     def __str__(self):
         name, idx = self.op.name, self.op.index
@@ -194,19 +216,26 @@ def _subst(t: Term, name: str, replacement: Term, fv_repl: frozenset) -> Term:
         return t
     if isinstance(t, Var):
         return replacement
+    # each node built here gets its set inline: helper calls were slower
     if isinstance(t, Abs):
         # name is free in t, so it is not t.param and is free in the body
-        if t.param in fv_repl:
-            taken = fv_repl | t.body._fv | {name}
-            fresh = _fresh(t.param, taken)
-            renamed = substitute(t.body, t.param, Var(fresh))
-            return Abs(fresh, _subst(renamed, name, replacement, fv_repl))
-        return Abs(t.param, _subst(t.body, name, replacement, fv_repl))
+        param, body = t.param, t.body
+        if param in fv_repl:
+            param = _fresh(param, fv_repl | body._fv | {name})
+            body = substitute(body, t.param, Var(param))
+        body = _subst(body, name, replacement, fv_repl)
+        node = Abs(param, body)
+        vars(node).update(_fv=body._fv - {param},
+                          _ignores=param not in body._fv)
+        return node
     if isinstance(t, App):
-        return App(_subst(t.fn, name, replacement, fv_repl),
+        node = App(_subst(t.fn, name, replacement, fv_repl),
                    _subst(t.arg, name, replacement, fv_repl))
-    return Op(t.op, tuple([_subst(a, name, replacement, fv_repl)
-                           for a in t.args]))
+        vars(node)["_fv"] = node.fn._fv | node.arg._fv
+        return node
+    node = Op(t.op, [_subst(a, name, replacement, fv_repl) for a in t.args])
+    vars(node)["_fv"] = frozenset().union(*[a._fv for a in node.args])
+    return node
 
 
 # operation name -> the instance whose signature holds it
@@ -278,15 +307,17 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 _PROGRAM, _ARGS, _BODY, _SEQ = range(4)
 
 
-def _parse(src: str, kind: Optional[MonadKind]) -> Term:
-    """One loop over the tokens with an explicit stack of open frames.
+def _parse(src: str, kind: Optional[MonadKind]) -> tuple:
+    """The term and the names it reads as variables, in one loop over the
+    tokens with an explicit stack of open frames.
 
     ``fn`` is the application read so far in the innermost frame, or
     ``None`` where a term must start.  A body and the part after ``;``
     extend as far right as possible: a token that neither starts an atom
     nor is ``;`` closes every body and every ``;`` still open, ``e ; f``
-    as ``(\\_. f) e`` with ``_`` renamed away from the free names of
-    ``f``, and must then be the ``)`` or ``,`` of an argument list (a
+    as ``(\\_. f) e``, an abstraction marked as ignoring ``_``, which is
+    renamed away from the free names of ``f`` if the program reads
+    ``_``, and must then be the ``)`` or ``,`` of an argument list (a
     parenthesis takes no ``,``) or the end of the program.  Index tokens
     occur only between brackets, and only the index loop reads those, so
     elsewhere a punctuation mark is known by its text alone.
@@ -365,15 +396,17 @@ def _parse(src: str, kind: Optional[MonadKind]) -> Term:
                 if frame == _BODY:
                     atom = Abs(data, fn)
                 else:
-                    ignored = "_" if "_" not in fn._fv else _fresh("_", fn._fv)
+                    ignored = _fresh("_", fn._fv) if "_" in variables \
+                        and "_" in fn._fv else "_"
                     atom = App(Abs(ignored, fn), data)
+                    vars(atom.fn)["_ignores"] = True
                 frame, fn, data = stack.pop()
                 fn = atom if fn is None else App(fn, atom)
             if frame == _PROGRAM:
                 if typ != "eof":
                     raise ParseError(
                         f"trailing input starting at {text!r}", pos)
-                return fn
+                return fn, variables
             desc, op_pos, args = data
             args.append(fn)
             if text == "," and desc:
@@ -403,9 +436,12 @@ def parse(src: str, kind: Optional[MonadKind] = None,
     The parser keeps its own stack, so nesting depth is bounded by
     memory, not by the recursion limit.
     """
-    term = _parse(src, kind)
+    term, names = _parse(src, kind)
+    # names it may hold free: those it reads, and those substituted in
     for name, repl in (defs or {}).items():
-        term = substitute(term, name, repl)
+        if name in names:
+            term = substitute(term, name, repl)
+            names = {*names, *free_vars(repl)}
     return term
 
 
@@ -433,7 +469,7 @@ def _eval(t: Term, kind: MonadKind, fuel: int):
             mf = _eval(fn, kind, fuel)
             ma = _eval(arg, kind, fuel)
             return bind(mf, _applying(ma, kind, fuel))
-        if not (isinstance(fn, Abs) and fn.param not in fn.body._fv):
+        if not (isinstance(fn, Abs) and fn._ignores):
             # bind(unit(f), k) == k(f) by the left-unit law
             return bind(_eval(arg, kind, fuel),
                         lambda va: _beta(fn, va, kind, fuel))
@@ -495,7 +531,7 @@ def _on_values(t: Term) -> bool:
 def _applying(ma: MonadValue, kind: MonadKind, fuel: int):
     """The bind continuation that applies each function value to ``ma``."""
     def apply(vf):
-        if isinstance(vf, Abs) and vf.param not in vf.body._fv:
+        if isinstance(vf, Abs) and vf._ignores:
             return _then(ma, vf, kind, fuel)
         return bind(ma, lambda va: _beta(vf, va, kind, fuel))
 
@@ -514,14 +550,14 @@ def _then(ma: MonadValue, vf: Abs, kind: MonadKind, fuel: int):
 def _once(vf: Abs, inst, kind: MonadKind, fuel: int):
     """The ``out`` of ``then`` for a ``vf`` that ignores its argument: the
     payload of its body, evaluated on the first call and shared after.
-    The beta step is ``_beta``'s, taken in this frame; fuel is still
+    The beta step substitutes nothing and is taken here; fuel is still
     charged per path, as the body is evaluated with the fuel left here."""
     shared = []
 
     def out():
         if not shared:
             shared.append(inst.bottom(kind) if fuel == 0 else _eval(
-                substitute(vf.body, vf.param, vf), kind, fuel - 1).payload)
+                vf.body, kind, fuel - 1).payload)
         return shared[0]
 
     return out
@@ -566,14 +602,16 @@ three = succ two
 """
 
 
-def parse_defs(src: str, kind: Optional[MonadKind] = None) -> dict:
+def parse_defs(src: str, kind: Optional[MonadKind] = None,
+               defs: Optional[Mapping[str, Term]] = None) -> dict:
     """Parse a prelude: one ``name = term`` per line, '#' comments.
 
-    Later definitions may use and redefine earlier ones, so text appended
-    to ``DEFAULT_PRELUDE`` sees every default name.
+    Later definitions may use and redefine earlier ones and ``defs``; an
+    error's offset counts in ``src``, a bad line's at the line's start.
     """
-    defs: dict = {}
-    for raw in src.splitlines():
+    defs, end = dict(defs or {}), 0
+    for raw in src.splitlines(keepends=True):
+        start, end, raw = end, end + len(raw), raw.splitlines()[0]
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -584,10 +622,14 @@ def parse_defs(src: str, kind: Optional[MonadKind] = None) -> dict:
         except ParseError:
             token = None
         if not eq or token != ("ident", name, 0):
-            raise ParseError(f"bad definition line: {raw!r}", 0)
+            raise ParseError(f"bad definition line: {raw!r}", start)
         if name in OP_FAMILIES:
-            raise ParseError(f"{name!r} is a reserved operation name", 0)
-        defs[name] = parse(rhs, kind=kind, defs=defs)
+            raise ParseError(f"{name!r} is a reserved operation name", start)
+        try:
+            defs[name] = parse(rhs, kind=kind, defs=defs)
+        except ParseError as exc:
+            raise ParseError(exc.message, start + raw.index("=") + 1
+                             + exc.pos) from None
     return defs
 
 

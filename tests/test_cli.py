@@ -1,7 +1,7 @@
 """Command-line checks: a few short exit-code and output checks per
 subcommand, plus what a row of ``tests/test_golden.py::CASES`` cannot make:
 hash seeds, deep evaluations, the README's examples, the parser's declared
-options, its totality and its one-pass dispatch, what a command imports, a
+options, its totality and its plain argv reader, what a command imports, a
 seventh instance, the ``diagram_eq`` round trip and reference cycles.
 Whole-output pins are rows there."""
 
@@ -249,7 +249,8 @@ JUNK = ["", "-", "--", "-x", "--bogus", "--form", "--x\ny", "eval"]
 def argvs(draw):
     """A subcommand, or a word that is none, its options with values,
     its operands, and at most one junk word or other command's option,
-    in any order."""
+    in any order, or half the time with every option first, the shape
+    that ``cli._read_plain`` reads."""
     command = draw(st.sampled_from([*sorted(OPTIONS), "bogus", "-h", ""]))
     own = [pair for pair in PAIRS if pair[0] in OPTIONS.get(command, ())]
     items = draw(st.lists(st.sampled_from(own), max_size=3)) if own else []
@@ -263,8 +264,10 @@ def argvs(draw):
         max_size=1))
     # a law run is a handful of one-trial cells unless a draw says more
     head = ["--laws", "bottom", "--trials", "1"] if command == "laws" else []
-    return [command, *head,
-            *(w for item in draw(st.permutations(items)) for w in item)]
+    items = draw(st.permutations(items))
+    if draw(st.booleans()):
+        items.sort(key=len, reverse=True)
+    return [command, *head, *(w for item in items for w in item)]
 
 
 class TestDispatch:
@@ -279,7 +282,7 @@ class TestDispatch:
     @example(argv=[])
     def test_one_pass_matches_argparse(self, capsys, monkeypatch, workdir,
                                        argv):
-        # with no subcommand known to main, every argv takes the top level
+        # with no subcommand known to the plain reader, argparse reads all
         monkeypatch.chdir(workdir)
         argv = [w.replace("{dir}", str(workdir)) for w in argv]
         got = (main(argv), *capsys.readouterr())
@@ -290,6 +293,34 @@ class TestDispatch:
         finally:
             cli._PARSER.commands = commands
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["compose", "--format", "machine", "f1", "--format",
+                   "machine", "f2"])
+    @example(argv=["laws", "--monads", "set,dist", "--seed", "2"])
+    def test_plain_reader_reads_as_argparse(self, argv):
+        args = cli._read_plain(argv)
+        if args is not None:
+            assert vars(args) == vars(cli._PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fu", "64", "v"], ["eval", "--fuel=64", "v"],
+        ["eval", "-f64", "v"], ["eval", "-f", "-1", "v"], ["eval", "-x"],
+        ["eval", "-f", "5", "-x"], ["eval", ""], ["eval", "--", "v"],
+        ["eval", "-h"], ["eval", "-m", "foo", "v"], ["eval", "v", "w"],
+        ["eval", "v", "-f", "5"], ["laws", "--laws", "unit,unit"],
+        ["compose", "f1", "--format", "machine", "f2"], ["compose"],
+        ["bogus", "v"], [],
+    ])
+    def test_plain_reader_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_plain(argv) is None
+
+    def test_plain_reader_takes_a_benchmark_argv(self):
+        args = cli._read_plain(["diagram", "-m", "dist", "-f", "64",
+                                "choice(a, b) ; v"])
+        assert (args.command, args.monad, args.fuel, args.func) == \
+            ("diagram", "dist", 64, cli._cmd_diagram)
 
 
 def test_only_laws_loads_the_law_suite(workdir):

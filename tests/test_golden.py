@@ -158,6 +158,9 @@ FILES.update({
     # do not
     'prime.lam': "f' = \\x. x\n",
     'dash.lam': 'x-y = v\n',
+    # a prelude whose second definition does not parse
+    'late-error.lam': 'a = v\nb = \\x. (x\n',
+    'late-error-crlf.lam': b'a = v\r\nb = \\x. (x\r\n',
 })
 
 
@@ -1123,6 +1126,15 @@ CASES = [
      2, '',
      "effdiag laws: error: argument --monads: names an entry twice: "
      "'maybe, maybe'\n"),
+    # a prelude error's offset counts in the file: 6 for line 2, 3 more
+    # to its "=" and 7 to the end of the definition
+    (['eval', '--prelude', '{dir}/late-error.lam', 'v'],
+     2, '',
+     "parse error: expected ')', found '' (at offset 16)\n"),
+    # and counts each line end as the file holds it
+    (['eval', '--prelude', '{dir}/late-error-crlf.lam', 'v'],
+     2, '',
+     "parse error: expected ')', found '' (at offset 17)\n"),
 ]
 
 

@@ -384,6 +384,21 @@ class TestPrelude:
         with pytest.raises(ed.ParseError):
             ed.parse_defs("union = \\x. x")
 
+    @pytest.mark.parametrize("src, pos", [
+        ("a = v\nx-y = v\n", 6), ("a = v\r\n\r\nunion = v", 9),
+        ("a = v\n  b =  (v", 15), ("a = v\r\nb = raise[]()", 17),
+    ], ids=["bad-line", "reserved-name", "right-hand-side", "index"])
+    def test_parse_defs_errors_count_offsets_in_the_text(self, src, pos):
+        with pytest.raises(ed.ParseError) as caught:
+            ed.parse_defs(src)
+        assert caught.value.pos == pos
+        assert str(caught.value).endswith(f" (at offset {pos})")
+
+    def test_a_definition_reaches_names_defined_after_it(self):
+        # "a" holds "b" free, and "b" is substituted after "a"
+        defs = ed.parse_defs("a = b\nb = v", defs=DEFS)
+        assert ed.parse("a", defs=defs) == Var("v")
+
     def test_user_prelude_extends(self):
         defs = ed.parse_defs("twice = \\f. \\x. f (f x)")
         assert "twice" in defs
@@ -532,6 +547,34 @@ def _chain(op, n):
     return " ; ".join([f"{op}(a, b)"] * n + ["v"])
 
 
+def counted_steps(monkeypatch):
+    """The list of beta steps evaluation takes from now on, recorded where
+    it takes them: in ``_beta``, and where an ``out`` of ``_once``
+    evaluates its shared body, once."""
+    steps = []
+    beta, once = lang._beta, lang._once
+
+    def counting_beta(vf, va, kind, fuel):
+        if isinstance(vf, Abs) and fuel:
+            steps.append(vf)
+        return beta(vf, va, kind, fuel)
+
+    def counting_once(vf, inst, kind, fuel):
+        out, taken = once(vf, inst, kind, fuel), []
+
+        def counted():
+            if fuel and not taken:
+                taken.append(vf)
+                steps.append(vf)
+            return out()
+
+        return counted
+
+    monkeypatch.setattr(lang, "_beta", counting_beta)
+    monkeypatch.setattr(lang, "_once", counting_once)
+    return steps
+
+
 class TestSharing:
     @pytest.mark.parametrize("n", (4, 8, 16))
     @pytest.mark.parametrize("op, kind, want", [
@@ -540,14 +583,7 @@ class TestSharing:
     ], ids=("choice", "union"))
     def test_chain_takes_n_beta_steps(self, monkeypatch, n, op, kind, want):
         term = ed.parse(_chain(op, n), kind=kind)
-        steps = []
-        real = lang.substitute
-
-        def counting(*args):
-            steps.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(lang, "substitute", counting)
+        steps = counted_steps(monkeypatch)
         assert ed.evaluate(term, kind, n) == ed.MonadValue(kind, want)
         assert len(steps) == n
         # each path still needs all n steps: one unit less starves it
@@ -678,14 +714,7 @@ class TestSequencedOperations:
     def test_same_as_reference(self, monkeypatch, kind, desc):
         terms = [Op(desc, args) for args in itertools.product(
             _argument_pool(kind), repeat=desc.arity)]
-        steps = []
-        real = lang.substitute
-
-        def counting(*args):
-            steps.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(lang, "substitute", counting)
+        steps = counted_steps(monkeypatch)
         for term, f, fuel in itertools.product(
                 terms, (Var("v"), App(Var("x"), Var("x")), OMEGA), range(4)):
             seq = App(Abs("_", f), term)
@@ -872,6 +901,23 @@ class TestDeepInput:
             assert isinstance(term.fn, Abs) and term.fn.param == "_"
             term = term.fn.body
         assert term == Var("v")
+
+    def test_free_vars_of_deep_terms(self):
+        n = 10 ** 5
+        assert ed.free_vars(ed.parse("\\x. " * n + "f x")) == {"f"}
+        assert ed.free_vars(ed.parse("f" + " x" * n)) == {"f", "x"}
+        assert ed.free_vars(ed.parse(_chain("union", 3000))) == \
+            {"a", "b", "v"}
+
+    def test_a_chain_is_parsed_and_evaluated_without_a_set(self):
+        # only a Var is built with its set of free variables
+        term = ed.parse("choice(a, b) ; choice(c, c) ; choice(v, "
+                        "choice(w, x))", ed.DIST, DEFS)
+        assert ed.evaluate(term, ed.DIST, 64) == ed.MonadValue(
+            ed.DIST, {Var("v"): F(1, 2), Var("w"): F(1, 4),
+                      Var("x"): F(1, 4)})
+        assert [node for node in _subterms(term)
+                if "_fv" in vars(node) and not isinstance(node, Var)] == []
 
     def test_nested_operations(self):
         n = 2 * 10 ** 4
